@@ -2,14 +2,16 @@
 
 These are the regression baseline behind the ``reproduce-paper`` command:
 small states whose concurrences and bounds are known in closed form.  Each
-check carries the exact expected value, a tolerance and a short note saying
-where the number comes from.
+check is one row: the quantity, how to compute it from the case's state, its
+exact expected value and a short note saying where the number comes from.
+Every check is held to the same tolerance, ``CHECK_TOLERANCE``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .concurrence import (
     concurrence_of_assistance,
@@ -29,12 +31,14 @@ from .monogamy import (
 )
 from .states import PureState, partial_trace, state_from_basis_terms
 
+CHECK_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class ReferenceCheck:
     quantity: str
+    compute: Callable[[PureState], float]
     expected: float
-    tolerance: float
     note: str
 
 
@@ -44,165 +48,103 @@ class ReferenceCase:
     description: str
     state: PureState
     checks: tuple
-    computed: dict
 
 
-def _case(case_id, description, state, rows):
-    checks = tuple(ReferenceCheck(q, e, t, note) for q, e, t, note in rows)
-    return case_id, description, state, checks
+def _concurrence(i, j):
+    return lambda s: wootters_concurrence(partial_trace(s, [i, j]))
 
 
-def _pair_c(state, i, j):
-    return wootters_concurrence(partial_trace(state, [i, j]))
+def _assistance(i, j):
+    return lambda s: concurrence_of_assistance(partial_trace(s, [i, j]))
 
 
-def _pair_ca(state, i, j):
-    return concurrence_of_assistance(partial_trace(state, [i, j]))
+def _cut_sq(*left):
+    return lambda s: pure_concurrence_sq(s, left)
+
+
+def _cut(*left):
+    return lambda s: math.sqrt(pure_concurrence_sq(s, left))
 
 
 def builtin_cases():
-    """All bundled reference cases, computed fresh on each call."""
-    cases = []
-
-    # --- four-qubit state saturating both two-versus-rest bounds -----------
+    """All bundled reference cases, built fresh on each call."""
     sat4 = state_from_basis_terms(4, [("0000", 1), ("1001", 1)])
-    computed = {
-        "concurrence_sq[AB|CD]": pure_concurrence_sq(sat4, [0, 1]),
-        "ab_rest_lower": ab_rest_lower(sat4),
-        "ab_rest_upper": ab_rest_upper(sat4),
-        "concurrence[A-C1]": _pair_c(sat4, 0, 2),
-        "concurrence[A-C2]": _pair_c(sat4, 0, 3),
-        "assistance[A-B]": _pair_ca(sat4, 0, 1),
-        "assistance[A-C1]": _pair_ca(sat4, 0, 2),
-        "assistance[A-C2]": _pair_ca(sat4, 0, 3),
-        "assistance[B-C1]": _pair_ca(sat4, 1, 2),
-        "assistance[B-C2]": _pair_ca(sat4, 1, 3),
-    }
-    rows = [
-        ("concurrence_sq[AB|CD]", 1.0, 1e-9, "one ebit across the AB|CD cut"),
-        ("ab_rest_lower", 1.0, 1e-9, "lower bound saturates"),
-        ("ab_rest_upper", 1.0, 1e-9, "upper bound saturates"),
-        ("concurrence[A-C1]", 0.0, 1e-9, "A-C1 marginal is product"),
-        ("concurrence[A-C2]", 1.0, 1e-9, "A-C2 marginal is a Bell pair"),
-        ("assistance[A-B]", 0.0, 1e-9, "no assisted entanglement for A-B"),
-        ("assistance[A-C1]", 0.0, 1e-9, "none for A-C1"),
-        ("assistance[A-C2]", 1.0, 1e-9, "full assisted entanglement for A-C2"),
-        ("assistance[B-C1]", 0.0, 1e-9, "none for B-C1"),
-        ("assistance[B-C2]", 0.0, 1e-9, "none for B-C2"),
-    ]
-    cases.append((*_case("saturating-4q", "(|0000> + |1001>)/sqrt(2): both AB|CD bounds saturate", sat4, rows), computed))
-
-    # --- worked triangle example -------------------------------------------
     # With |1010> as the third term (B = 0 throughout) no single-qubit
     # marginal has the spectrum {2/3, 1/3} that the pinned values require;
     # flipping B in that term is the variant that attains all of them.
     phi = state_from_basis_terms(4, [("0000", 1), ("0010", 1), ("1110", 1)])
-    chain = concurrence_chain(phi)
-    tri = triangle_vectors(phi)
-    computed = {
-        "concurrence[AB|CD]": math.sqrt(pure_concurrence_sq(phi, [0, 1])),
-        "concurrence[A|BCD]": math.sqrt(pure_concurrence_sq(phi, [0])),
-        "concurrence[B|ACD]": math.sqrt(pure_concurrence_sq(phi, [1])),
-        "chain_lower": chain[0],
-        "chain_mid": chain[1],
-        "chain_upper": chain[2],
-        "a_vec_x": tri.a_vec[0],
-        "a_vec_y": tri.a_vec[1],
-        "b_vec_x": tri.b_vec[0],
-        "b_vec_y": tri.b_vec[1],
-        "c_vec_x": tri.c_vec[0],
-        "c_vec_y": tri.c_vec[1],
-    }
-    rows = [
-        ("concurrence[AB|CD]", 2 / 3, 1e-9, "pair-versus-rest concurrence"),
-        ("concurrence[A|BCD]", 2 * math.sqrt(2) / 3, 1e-9, "single-versus-rest concurrence"),
-        ("concurrence[B|ACD]", 2 * math.sqrt(2) / 3, 1e-9, "equal by symmetry of the state"),
-        ("chain_lower", 0.0, 1e-9, "|a - b| with a = b"),
-        ("chain_mid", 4 / 9, 1e-9, "squared pair-versus-rest concurrence"),
-        ("chain_upper", 16 / 9, 1e-9, "a + b"),
-        ("a_vec_x", 2 / 9, 1e-9, "triangle side, first component"),
-        ("a_vec_y", 2 * math.sqrt(15) / 9, 1e-9, "triangle side, second component"),
-        ("b_vec_x", 2 / 9, 1e-9, "mirror side"),
-        ("b_vec_y", -2 * math.sqrt(15) / 9, 1e-9, "mirror side, reflected"),
-        ("c_vec_x", 4 / 9, 1e-9, "base along the first axis"),
-        ("c_vec_y", 0.0, 1e-9, "base along the first axis"),
-    ]
-    cases.append((*_case("triangle-4q", "(|0000> + |0010> + |1110>)/sqrt(3): closed vector triangle", phi, rows), computed))
-
-    # --- six-qubit Bell(A, C1) ---------------------------------------------
     ex1 = state_from_basis_terms(6, [("000000", 1), ("101000", 1)])
-    computed = {
-        "concurrence_sq[ABC1|rest]": pure_concurrence_sq(ex1, [0, 1, 2]),
-        "abc_rest_lower_diff": abc_rest_lower_diff(ex1),
-        "abc_rest_lower_hub": abc_rest_lower_hub(ex1),
-        "abc_rest_upper": abc_rest_upper(ex1),
-        "ab_rest_lower": ab_rest_lower(ex1),
-        "concurrence_sq[AB|rest]": pure_concurrence_sq(ex1, [0, 1]),
-        "concurrence[A-C1]": _pair_c(ex1, 0, 2),
-        "assistance[A-C1]": _pair_ca(ex1, 0, 2),
-    }
-    rows = [
-        ("concurrence_sq[ABC1|rest]", 0.0, 1e-9, "Bell pair lies inside ABC1"),
-        ("abc_rest_lower_diff", 0.0, 1e-9,
-         "pair-gap bound: the A-C1 ebit cancels against C1's assistance total"),
-        ("abc_rest_lower_hub", 0.0, 1e-9, "hub bound: C1's concurrence cancels likewise"),
-        ("abc_rest_upper", 2.0, 1e-9, "A-C1 assistance counted in both sums"),
-        ("ab_rest_lower", 1.0, 1e-9, "AB|C1C2C3C4 lower bound saturates"),
-        ("concurrence_sq[AB|rest]", 1.0, 1e-9, "the ebit straddles the AB|rest cut"),
-        ("concurrence[A-C1]", 1.0, 1e-9, "Bell pair"),
-        ("assistance[A-C1]", 1.0, 1e-9, "Bell pair"),
-    ]
-    cases.append((*_case("six-qubit-bell-a-c1", "(|000000> + |101000>)/sqrt(2): ebit between A and C1", ex1, rows), computed))
-
-    # --- six-qubit Bell(C1, C2) --------------------------------------------
     ex2 = state_from_basis_terms(6, [("000000", 1), ("001100", 1)])
-    computed = {
-        "concurrence_sq[ABC1|rest]": pure_concurrence_sq(ex2, [0, 1, 2]),
-        "abc_rest_lower_diff": abc_rest_lower_diff(ex2),
-        "abc_rest_lower_diff_clamped": max(0.0, abc_rest_lower_diff(ex2)),
-        "abc_rest_lower_hub": abc_rest_lower_hub(ex2),
-        "abc_rest_upper": abc_rest_upper(ex2),
-        "concurrence[C1-C2]": _pair_c(ex2, 2, 3),
-        "assistance[C1-C2]": _pair_ca(ex2, 2, 3),
-    }
-    rows = [
-        ("concurrence_sq[ABC1|rest]", 1.0, 1e-9, "the ebit straddles the ABC1|rest cut"),
-        ("abc_rest_lower_diff", -1.0, 1e-9, "raw pair-gap bound is negative here"),
-        ("abc_rest_lower_diff_clamped", 0.0, 1e-9, "clamped reading"),
-        ("abc_rest_lower_hub", 1.0, 1e-9, "hub bound saturates: tighter than the pair-gap bound"),
-        ("abc_rest_upper", 1.0, 1e-9, "upper bound saturates"),
-        ("concurrence[C1-C2]", 1.0, 1e-9, "Bell pair"),
-        ("assistance[C1-C2]", 1.0, 1e-9, "Bell pair"),
-    ]
-    cases.append((*_case("six-qubit-bell-c1-c2", "(|000000> + |001100>)/sqrt(2): ebit between C1 and C2", ex2, rows), computed))
-
-    # --- uniform five-qubit weight-1 state ----------------------------------
     w5 = wclass_state([1 / math.sqrt(5)] * 5)
-    lower, mid, upper = wclass_bounds(w5, 0, 1)
-    computed = {
-        "wclass_lower[1,2]": lower,
-        "wclass_mid[1,2]": mid,
-        "wclass_upper[1,2]": upper,
-        "concurrence[pair]": _pair_c(w5, 0, 1),
-        "assistance[pair]": _pair_ca(w5, 0, 1),
-    }
-    rows = [
-        ("wclass_lower[1,2]", 0.0, 1e-9, "symmetric coefficients cancel the difference sum"),
-        ("wclass_mid[1,2]", 24 / 25, 1e-9, "pair marginal purity is 13/25"),
-        ("wclass_upper[1,2]", 32 / 25, 1e-9, "2(2/5)^2 + 6(2/5)^2"),
-        ("concurrence[pair]", 2 / 5, 1e-9, "2|a_p a_q| for uniform weights"),
-        ("assistance[pair]", 2 / 5, 1e-9, "equal to the concurrence on weight-1 states"),
-    ]
-    cases.append((*_case("uniform-w5", "uniform five-qubit weight-1 state, pair (1, 2)", w5, rows), computed))
 
-    return [ReferenceCase(cid, desc, st, checks, comp) for cid, desc, st, checks, comp in cases]
+    cases = [
+        ("saturating-4q", "(|0000> + |1001>)/sqrt(2): both AB|CD bounds saturate", sat4, [
+            ("concurrence_sq[AB|CD]", _cut_sq(0, 1), 1.0, "one ebit across the AB|CD cut"),
+            ("ab_rest_lower", ab_rest_lower, 1.0, "lower bound saturates"),
+            ("ab_rest_upper", ab_rest_upper, 1.0, "upper bound saturates"),
+            ("concurrence[A-C1]", _concurrence(0, 2), 0.0, "A-C1 marginal is product"),
+            ("concurrence[A-C2]", _concurrence(0, 3), 1.0, "A-C2 marginal is a Bell pair"),
+            ("assistance[A-B]", _assistance(0, 1), 0.0, "no assisted entanglement for A-B"),
+            ("assistance[A-C1]", _assistance(0, 2), 0.0, "none for A-C1"),
+            ("assistance[A-C2]", _assistance(0, 3), 1.0, "full assisted entanglement for A-C2"),
+            ("assistance[B-C1]", _assistance(1, 2), 0.0, "none for B-C1"),
+            ("assistance[B-C2]", _assistance(1, 3), 0.0, "none for B-C2"),
+        ]),
+        ("triangle-4q", "(|0000> + |0010> + |1110>)/sqrt(3): closed vector triangle", phi, [
+            ("concurrence[AB|CD]", _cut(0, 1), 2 / 3, "pair-versus-rest concurrence"),
+            ("concurrence[A|BCD]", _cut(0), 2 * math.sqrt(2) / 3, "single-versus-rest concurrence"),
+            ("concurrence[B|ACD]", _cut(1), 2 * math.sqrt(2) / 3, "equal by symmetry of the state"),
+            ("chain_lower", lambda s: concurrence_chain(s)[0], 0.0, "|a - b| with a = b"),
+            ("chain_mid", lambda s: concurrence_chain(s)[1], 4 / 9, "squared pair-versus-rest concurrence"),
+            ("chain_upper", lambda s: concurrence_chain(s)[2], 16 / 9, "a + b"),
+            ("a_vec_x", lambda s: triangle_vectors(s).a_vec[0], 2 / 9, "triangle side, first component"),
+            ("a_vec_y", lambda s: triangle_vectors(s).a_vec[1], 2 * math.sqrt(15) / 9,
+             "triangle side, second component"),
+            ("b_vec_x", lambda s: triangle_vectors(s).b_vec[0], 2 / 9, "mirror side"),
+            ("b_vec_y", lambda s: triangle_vectors(s).b_vec[1], -2 * math.sqrt(15) / 9, "mirror side, reflected"),
+            ("c_vec_x", lambda s: triangle_vectors(s).c_vec[0], 4 / 9, "base along the first axis"),
+            ("c_vec_y", lambda s: triangle_vectors(s).c_vec[1], 0.0, "base along the first axis"),
+        ]),
+        ("six-qubit-bell-a-c1", "(|000000> + |101000>)/sqrt(2): ebit between A and C1", ex1, [
+            ("concurrence_sq[ABC1|rest]", _cut_sq(0, 1, 2), 0.0, "Bell pair lies inside ABC1"),
+            ("abc_rest_lower_diff", abc_rest_lower_diff, 0.0,
+             "pair-gap bound: the A-C1 ebit cancels against C1's assistance total"),
+            ("abc_rest_lower_hub", abc_rest_lower_hub, 0.0, "hub bound: C1's concurrence cancels likewise"),
+            ("abc_rest_upper", abc_rest_upper, 2.0, "A-C1 assistance counted in both sums"),
+            ("ab_rest_lower", ab_rest_lower, 1.0, "AB|C1C2C3C4 lower bound saturates"),
+            ("concurrence_sq[AB|rest]", _cut_sq(0, 1), 1.0, "the ebit straddles the AB|rest cut"),
+            ("concurrence[A-C1]", _concurrence(0, 2), 1.0, "Bell pair"),
+            ("assistance[A-C1]", _assistance(0, 2), 1.0, "Bell pair"),
+        ]),
+        ("six-qubit-bell-c1-c2", "(|000000> + |001100>)/sqrt(2): ebit between C1 and C2", ex2, [
+            ("concurrence_sq[ABC1|rest]", _cut_sq(0, 1, 2), 1.0, "the ebit straddles the ABC1|rest cut"),
+            ("abc_rest_lower_diff", abc_rest_lower_diff, -1.0, "raw pair-gap bound is negative here"),
+            ("abc_rest_lower_diff_clamped", lambda s: max(0.0, abc_rest_lower_diff(s)), 0.0, "clamped reading"),
+            ("abc_rest_lower_hub", abc_rest_lower_hub, 1.0, "hub bound saturates: tighter than the pair-gap bound"),
+            ("abc_rest_upper", abc_rest_upper, 1.0, "upper bound saturates"),
+            ("concurrence[C1-C2]", _concurrence(2, 3), 1.0, "Bell pair"),
+            ("assistance[C1-C2]", _assistance(2, 3), 1.0, "Bell pair"),
+        ]),
+        ("uniform-w5", "uniform five-qubit weight-1 state, pair (1, 2)", w5, [
+            ("wclass_lower[1,2]", lambda s: wclass_bounds(s, 0, 1)[0], 0.0,
+             "symmetric coefficients cancel the difference sum"),
+            ("wclass_mid[1,2]", lambda s: wclass_bounds(s, 0, 1)[1], 24 / 25, "pair marginal purity is 13/25"),
+            ("wclass_upper[1,2]", lambda s: wclass_bounds(s, 0, 1)[2], 32 / 25, "2(2/5)^2 + 6(2/5)^2"),
+            ("concurrence[pair]", _concurrence(0, 1), 2 / 5, "2|a_p a_q| for uniform weights"),
+            ("assistance[pair]", _assistance(0, 1), 2 / 5, "equal to the concurrence on weight-1 states"),
+        ]),
+    ]
+    return [
+        ReferenceCase(case_id, description, state, tuple(ReferenceCheck(*row) for row in rows))
+        for case_id, description, state, rows in cases
+    ]
 
 
 def run_case(case: ReferenceCase):
     """Rows of (quantity, expected, computed, tolerance, ok, note) for one case."""
     rows = []
     for check in case.checks:
-        value = case.computed[check.quantity]
-        ok = abs(value - check.expected) <= check.tolerance
-        rows.append((check.quantity, check.expected, value, check.tolerance, ok, check.note))
+        value = check.compute(case.state)
+        ok = abs(value - check.expected) <= CHECK_TOLERANCE
+        rows.append((check.quantity, check.expected, value, CHECK_TOLERANCE, ok, check.note))
     return rows

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import builtin_cases, run_case
-from .monogamy import BoundReport, evaluate_all, wclass_bounds, wclass_state
+from .monogamy import DEFAULT_TOLERANCE, BoundReport, evaluate_all, wclass_bounds, wclass_state
 from .statefile import StateFileError, read_state_file, write_state_file
 from .states import MAX_QUBITS, random_haar_state
-
-DEFAULT_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -157,6 +155,7 @@ def cmd_wclass_scan(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     n = config.qubits
     rows = ["coefficients,pair,lower,mid,upper,gap_lower,gap_upper"]
+    gaps_lower, gaps_upper = [], []
     bad = 0
     for _ in range(config.count):
         moduli_sq = rng.dirichlet(np.ones(n))
@@ -167,6 +166,8 @@ def cmd_wclass_scan(config: RunConfig) -> int:
         for i in range(n):
             for j in range(i + 1, n):
                 lower, mid, upper = wclass_bounds(state, i, j)
+                gaps_lower.append(mid - lower)
+                gaps_upper.append(upper - mid)
                 if mid - lower < -config.tolerance or upper - mid < -config.tolerance:
                     bad += 1
                 rows.append(
@@ -174,6 +175,11 @@ def cmd_wclass_scan(config: RunConfig) -> int:
                     f"{_fmt(mid - lower)},{_fmt(upper - mid)}"
                 )
     _emit("\n".join(rows) + "\n", config.out)
+    if config.out:
+        lines = [f"n={n} count={config.count} pairs={len(gaps_lower)}"]
+        for side, gaps in (("lower", gaps_lower), ("upper", gaps_upper)):
+            lines.append(f"{side} gap: min {min(gaps):.3e}  mean {np.mean(gaps):.3e}  max {max(gaps):.3e}")
+        sys.stdout.write("\n".join(lines) + "\n")
     if bad:
         print(f"{bad} rows violate the two-sided bound", file=sys.stderr)
         return 2

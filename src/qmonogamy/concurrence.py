@@ -56,15 +56,64 @@ def lambda_spectrum(dm: DensityMatrix) -> np.ndarray:
     return out
 
 
+def _wootters(l: np.ndarray) -> float:
+    return float(max(0.0, l[0] - l[1] - l[2] - l[3]))
+
+
+def _assistance(l: np.ndarray) -> float:
+    return float(np.sum(l))
+
+
 def wootters_concurrence(dm: DensityMatrix) -> float:
     """Two-qubit mixed-state concurrence max(0, l1 - l2 - l3 - l4)."""
-    l = lambda_spectrum(dm)
-    return float(max(0.0, l[0] - l[1] - l[2] - l[3]))
+    return _wootters(lambda_spectrum(dm))
 
 
 def concurrence_of_assistance(dm: DensityMatrix) -> float:
     """Two-qubit concurrence of assistance l1 + l2 + l3 + l4."""
-    return float(np.sum(lambda_spectrum(dm)))
+    return _assistance(lambda_spectrum(dm))
+
+
+class MarginalTable:
+    """The marginals of one pure state and the squared concurrences they give.
+
+    Every monogamy bound is arithmetic over these entries.  Each marginal is
+    traced once and each pair's lambda spectrum computed once, on first use,
+    so a quantity asked for alone costs no more than computing it directly.
+    """
+
+    def __init__(self, state: PureState):
+        self.state = state
+        self.n_qubits = state.n_qubits
+        self._marginals = {}
+        self._pairs = {}
+
+    def marginal(self, qubits) -> DensityMatrix:
+        key = tuple(sorted(qubits))
+        if key not in self._marginals:
+            self._marginals[key] = partial_trace(self.state, key)
+        return self._marginals[key]
+
+    def pair(self, i: int, j: int):
+        """(C^2, C_a^2) of the two-qubit marginal of qubits i and j."""
+        key = (i, j) if i < j else (j, i)
+        if key not in self._pairs:
+            l = lambda_spectrum(self.marginal(key))
+            self._pairs[key] = (_wootters(l) ** 2, _assistance(l) ** 2)
+        return self._pairs[key]
+
+    def csq(self, i: int, j: int) -> float:
+        return self.pair(i, j)[0]
+
+    def casq(self, i: int, j: int) -> float:
+        return self.pair(i, j)[1]
+
+    def cut_sq(self, left) -> float:
+        """Squared concurrence of ``left`` versus the rest, reduced over the smaller side."""
+        left = frozenset(left)
+        right = frozenset(range(self.n_qubits)) - left
+        side = left if len(left) <= len(right) else right
+        return 2.0 * linear_entropy(self.marginal(side))
 
 
 def concurrence_pure(state: PureState, partition: Partition) -> float:
@@ -73,21 +122,14 @@ def concurrence_pure(state: PureState, partition: Partition) -> float:
     The partition must cover every qubit of the state.  The reduction is
     taken over the smaller side; the value is symmetric in the two sides.
     """
-    n = state.n_qubits
-    if partition.left | partition.right != frozenset(range(n)):
+    if partition.left | partition.right != frozenset(range(state.n_qubits)):
         raise ValueError("partition must cover all qubits of the state")
-    side = min(partition.left, partition.right, key=len)
-    rho = partial_trace(state, side)
-    return float(np.sqrt(2.0 * linear_entropy(rho)))
+    return float(np.sqrt(pure_concurrence_sq(state, partition.left)))
 
 
 def pure_concurrence_sq(state: PureState, left) -> float:
     """Squared concurrence of ``left`` versus the remaining qubits."""
-    n = state.n_qubits
-    left = frozenset(left)
-    right = frozenset(range(n)) - left
-    side = left if len(left) <= len(right) else right
-    return 2.0 * linear_entropy(partial_trace(state, side))
+    return MarginalTable(state).cut_sq(left)
 
 
 def three_tangle(state: PureState, focus: int) -> float:
@@ -99,8 +141,9 @@ def three_tangle(state: PureState, focus: int) -> float:
         raise ValueError(f"three-tangle is defined for 3 qubits, got {state.n_qubits}")
     if focus not in (0, 1, 2):
         raise ValueError(f"focus must be a qubit index in 0..2, got {focus}")
-    others = [q for q in range(3) if q != focus]
-    total = pure_concurrence_sq(state, [focus])
-    for other in others:
-        total -= wootters_concurrence(partial_trace(state, [focus, other])) ** 2
+    table = MarginalTable(state)
+    total = table.cut_sq([focus])
+    for other in range(3):
+        if other != focus:
+            total -= table.csq(focus, other)
     return float(total)

@@ -13,33 +13,54 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concurrence import (
-    concurrence_of_assistance,
-    pure_concurrence_sq,
-    wootters_concurrence,
-)
-from .states import MAX_QUBITS, PureState, linear_entropy, partial_trace
+from .concurrence import MarginalTable
+from .states import MAX_QUBITS, PureState, linear_entropy
 
 WEIGHT1_SUPPORT_ATOL = 1e-12
 DEFAULT_TOLERANCE = 1e-7
 TRIANGLE_DEGENERATE_EPS = 1e-12
 
 
-def _pair_measures(state: PureState, pairs):
-    """Squared concurrence and squared assistance for each requested pair."""
-    out = {}
-    for i, j in pairs:
-        dm = partial_trace(state, [i, j])
-        out[(i, j)] = (
-            wootters_concurrence(dm) ** 2,
-            concurrence_of_assistance(dm) ** 2,
-        )
-    return out
-
-
-def _require_qubits(state: PureState, minimum: int, what: str):
+def _table(state: PureState, minimum: int, what: str) -> MarginalTable:
     if state.n_qubits < minimum:
         raise ValueError(f"{what} needs at least {minimum} qubits, got {state.n_qubits}")
+    return MarginalTable(state)
+
+
+def _ab_rest_lower(t: MarginalTable) -> float:
+    cs = range(2, t.n_qubits)
+    sum_a = sum(t.csq(0, c) - t.casq(1, c) for c in cs)
+    sum_b = sum(t.csq(1, c) - t.casq(0, c) for c in cs)
+    return float(max(sum_a, sum_b))
+
+
+def _ab_rest_upper(t: MarginalTable) -> float:
+    cs = range(2, t.n_qubits)
+    total = 2.0 * t.casq(0, 1)
+    total += sum(t.casq(0, c) + t.casq(1, c) for c in cs)
+    return float(total)
+
+
+def _c1_assistance(t: MarginalTable) -> float:
+    """C1's assistance total: C_a^2 of C1 with every other qubit."""
+    return sum(t.casq(2, j) for j in [0, 1] + list(range(3, t.n_qubits)))
+
+
+def _abc_rest_lower_diff(t: MarginalTable) -> float:
+    return float(_ab_rest_lower(t) - _c1_assistance(t))
+
+
+def _abc_rest_lower_hub(t: MarginalTable) -> float:
+    cs = range(2, t.n_qubits)
+    total = t.csq(0, 2) + t.csq(1, 2)
+    total += sum(t.csq(2, c) for c in cs if c != 2)
+    total -= 2.0 * t.casq(0, 1)
+    total -= sum(t.casq(0, c) + t.casq(1, c) for c in cs)
+    return float(total)
+
+
+def _abc_rest_upper(t: MarginalTable) -> float:
+    return float(_ab_rest_upper(t) + _c1_assistance(t))
 
 
 def ab_rest_lower(state: PureState) -> float:
@@ -47,30 +68,18 @@ def ab_rest_lower(state: PureState) -> float:
 
     Raw value of max over the two difference sums; may be negative.
     """
-    _require_qubits(state, 3, "the AB-versus-rest lower bound")
-    cs = range(2, state.n_qubits)
-    table = _pair_measures(state, [(a, c) for a in (0, 1) for c in cs])
-    sum_a = sum(table[(0, c)][0] - table[(1, c)][1] for c in cs)
-    sum_b = sum(table[(1, c)][0] - table[(0, c)][1] for c in cs)
-    return float(max(sum_a, sum_b))
+    return _ab_rest_lower(_table(state, 3, "the AB-versus-rest lower bound"))
 
 
 def ab_rest_upper(state: PureState) -> float:
     """Upper bound on C^2(AB|rest) from the assistance of AB and all AB-C_i pairs."""
-    _require_qubits(state, 3, "the AB-versus-rest upper bound")
-    cs = range(2, state.n_qubits)
-    table = _pair_measures(state, [(0, 1)] + [(a, c) for a in (0, 1) for c in cs])
-    total = 2.0 * table[(0, 1)][1]
-    total += sum(table[(0, c)][1] + table[(1, c)][1] for c in cs)
-    return float(total)
+    return _ab_rest_upper(_table(state, 3, "the AB-versus-rest upper bound"))
 
 
 def concurrence_chain(state: PureState):
     """Triangle chain (|a-b|, c, a+b) with a = C^2(A|rest), b = C^2(B|rest), c = C^2(AB|rest)."""
-    _require_qubits(state, 3, "the concurrence chain")
-    a = pure_concurrence_sq(state, [0])
-    b = pure_concurrence_sq(state, [1])
-    c = pure_concurrence_sq(state, [0, 1])
+    t = _table(state, 3, "the concurrence chain")
+    a, b, c = t.cut_sq([0]), t.cut_sq([1]), t.cut_sq([0, 1])
     return abs(a - b), c, a + b
 
 
@@ -89,10 +98,8 @@ def triangle_vectors(state: PureState) -> TriangleVectors:
     ``c_vec`` is laid along the first axis.  When c vanishes the chain forces
     a = b, and the construction degenerates to an antiparallel pair.
     """
-    _require_qubits(state, 3, "the triangle construction")
-    a = pure_concurrence_sq(state, [0])
-    b = pure_concurrence_sq(state, [1])
-    c = pure_concurrence_sq(state, [0, 1])
+    t = _table(state, 3, "the triangle construction")
+    a, b, c = t.cut_sq([0]), t.cut_sq([1]), t.cut_sq([0, 1])
     if c <= TRIANGLE_DEGENERATE_EPS:
         a_vec = (a, 0.0)
         c_vec = (0.0, 0.0)
@@ -112,34 +119,17 @@ def triangle_vectors(state: PureState) -> TriangleVectors:
 
 def abc_rest_lower_diff(state: PureState) -> float:
     """Raw lower bound on C^2(ABC1|rest): the AB-versus-rest bound minus C1's assistance total."""
-    _require_qubits(state, 4, "the ABC1-versus-rest bounds")
-    hub_partners = [0, 1] + list(range(3, state.n_qubits))
-    table = _pair_measures(state, [(2, j) for j in hub_partners])
-    return float(ab_rest_lower(state) - sum(table[(2, j)][1] for j in hub_partners))
+    return _abc_rest_lower_diff(_table(state, 4, "the ABC1-versus-rest bounds"))
 
 
 def abc_rest_lower_hub(state: PureState) -> float:
     """Raw lower bound on C^2(ABC1|rest) from C1's pair concurrences minus A/B assistance totals."""
-    _require_qubits(state, 4, "the ABC1-versus-rest bounds")
-    n = state.n_qubits
-    cs = range(2, n)
-    pairs = [(0, 2), (1, 2), (0, 1)]
-    pairs += [(2, c) for c in cs if c != 2]
-    pairs += [(a, c) for a in (0, 1) for c in cs]
-    table = _pair_measures(state, set(pairs))
-    total = table[(0, 2)][0] + table[(1, 2)][0]
-    total += sum(table[(2, c)][0] for c in cs if c != 2)
-    total -= 2.0 * table[(0, 1)][1]
-    total -= sum(table[(0, c)][1] + table[(1, c)][1] for c in cs)
-    return float(total)
+    return _abc_rest_lower_hub(_table(state, 4, "the ABC1-versus-rest bounds"))
 
 
 def abc_rest_upper(state: PureState) -> float:
     """Upper bound on C^2(ABC1|rest): the AB-versus-rest upper bound plus C1's assistance total."""
-    _require_qubits(state, 4, "the ABC1-versus-rest bounds")
-    hub_partners = [0, 1] + list(range(3, state.n_qubits))
-    table = _pair_measures(state, [(2, j) for j in hub_partners])
-    return float(ab_rest_upper(state) + sum(table[(2, j)][1] for j in hub_partners))
+    return _abc_rest_upper(_table(state, 4, "the ABC1-versus-rest bounds"))
 
 
 def wclass_state(coefficients) -> PureState:
@@ -165,6 +155,14 @@ def is_weight1_supported(state: PureState) -> bool:
     return bool(np.max(np.abs(off), initial=0.0) <= WEIGHT1_SUPPORT_ATOL)
 
 
+def _wclass_chain(t: MarginalTable, i: int, j: int):
+    others = [k for k in range(t.n_qubits) if k not in (i, j)]
+    lower = abs(sum(t.csq(i, k) - t.csq(j, k) for k in others))
+    mid = t.cut_sq([i, j])
+    upper = 2.0 * t.csq(i, j) + sum(t.csq(i, k) + t.csq(j, k) for k in others)
+    return float(lower), float(mid), float(upper)
+
+
 def wclass_bounds(state: PureState, i: int, j: int):
     """Two-sided bound chain (lower, mid, upper) on C^2(A_i A_j | rest).
 
@@ -177,16 +175,7 @@ def wclass_bounds(state: PureState, i: int, j: int):
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
     if not is_weight1_supported(state):
         raise ValueError("state is not supported on Hamming-weight-1 basis labels")
-    others = [t for t in range(n) if t not in (i, j)]
-    table = _pair_measures(state, [(i, j)] + [tuple(sorted((x, t))) for x in (i, j) for t in others])
-
-    def csq(x, t):
-        return table[tuple(sorted((x, t)))][0]
-
-    lower = abs(sum(csq(i, t) - csq(j, t) for t in others))
-    mid = pure_concurrence_sq(state, [i, j])
-    upper = 2.0 * table[(i, j)][0] + sum(csq(i, t) + csq(j, t) for t in others)
-    return float(lower), float(mid), float(upper)
+    return _wclass_chain(MarginalTable(state), i, j)
 
 
 def role_name(q: int) -> str:
@@ -247,27 +236,26 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     slack >= -tolerance.  Raw and clamped readings of the signed lower bounds
     are reported separately.
     """
-    n = state.n_qubits
-    _require_qubits(state, 3, "bound evaluation")
+    t = _table(state, 3, "bound evaluation")
+    n = t.n_qubits
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    table = _pair_measures(state, pairs)
     components = {
         f"{role_name(i)}-{role_name(j)}": {
-            "concurrence_sq": table[(i, j)][0],
-            "assistance_sq": table[(i, j)][1],
+            "concurrence_sq": t.csq(i, j),
+            "assistance_sq": t.casq(i, j),
         }
         for i, j in pairs
     }
 
-    singles = {q: linear_entropy(partial_trace(state, [q])) for q in range(n)}
-    doubles = {(i, j): linear_entropy(partial_trace(state, [i, j])) for i, j in pairs}
+    singles = {q: linear_entropy(t.marginal([q])) for q in range(n)}
+    doubles = {(i, j): linear_entropy(t.marginal([i, j])) for i, j in pairs}
 
-    mid_ab = pure_concurrence_sq(state, [0, 1])
-    a_sq = pure_concurrence_sq(state, [0])
-    b_sq = pure_concurrence_sq(state, [1])
+    mid_ab = t.cut_sq([0, 1])
+    a_sq = t.cut_sq([0])
+    b_sq = t.cut_sq([1])
 
     entries = []
 
@@ -275,12 +263,12 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
         slack = rhs - lhs
         entries.append(BoundEntry(name, float(lhs), float(rhs), float(slack), bool(slack >= -tolerance)))
 
-    add("ab_rest_lower", ab_rest_lower(state), mid_ab)
-    add("ab_rest_upper", mid_ab, ab_rest_upper(state))
+    add("ab_rest_lower", _ab_rest_lower(t), mid_ab)
+    add("ab_rest_upper", mid_ab, _ab_rest_upper(t))
     add("chain_lower", abs(a_sq - b_sq), mid_ab)
     add("chain_upper", mid_ab, a_sq + b_sq)
-    add("dual_assist", a_sq, sum(table[(0, j)][1] for j in range(1, n)))
-    add("ckw", sum(table[(0, j)][0] for j in range(1, n)), a_sq)
+    add("dual_assist", a_sq, sum(t.casq(0, j) for j in range(1, n)))
+    add("ckw", sum(t.csq(0, j) for j in range(1, n)), a_sq)
 
     # linear-entropy triangle, worst pair of each side
     lo_worst = min(
@@ -295,19 +283,19 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     add("lin_entropy_upper", doubles[(i, j)], singles[i] + singles[j])
 
     if n >= 4:
-        mid_abc = pure_concurrence_sq(state, [0, 1, 2])
-        diff = abc_rest_lower_diff(state)
-        hub = abc_rest_lower_hub(state)
+        mid_abc = t.cut_sq([0, 1, 2])
+        diff = _abc_rest_lower_diff(t)
+        hub = _abc_rest_lower_hub(t)
         add("abc_rest_lower_diff", diff, mid_abc)
         add("abc_rest_lower_diff_clamped", max(0.0, diff), mid_abc)
         add("abc_rest_lower_hub", hub, mid_abc)
         add("abc_rest_lower_hub_clamped", max(0.0, hub), mid_abc)
-        add("abc_rest_upper", mid_abc, abc_rest_upper(state))
+        add("abc_rest_upper", mid_abc, _abc_rest_upper(t))
 
     if is_weight1_supported(state):
         lo_w, hi_w = None, None
         for i, j in pairs:
-            lower, mid, upper = wclass_bounds(state, i, j)
+            lower, mid, upper = _wclass_chain(t, i, j)
             if lo_w is None or mid - lower < lo_w[0] - lo_w[1]:
                 lo_w = (mid, lower)
             if hi_w is None or upper - mid < hi_w[1] - hi_w[0]:

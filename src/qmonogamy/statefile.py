@@ -16,7 +16,7 @@ from .states import MAX_QUBITS, PureState
 
 
 class StateFileError(ValueError):
-    """Rejected state document; ``code`` is one of parse / length / normalization."""
+    """Rejected state document; ``code`` is one of parse / length / finite / normalization."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -57,6 +57,8 @@ def parse_state(text: str) -> PureState:
     if len(raw) != 2**n:
         raise StateFileError("length", f"expected 2**{n} = {2**n} amplitudes, got {len(raw)}")
     amps = np.array([complex(re, im) for re, im in raw])
+    if not np.all(np.isfinite(amps)):
+        raise StateFileError("finite", "amplitudes must be finite numbers, not NaN or Infinity")
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise StateFileError("normalization", f"norm {norm} deviates from 1 by more than 1e-6")

@@ -37,6 +37,8 @@ class PureState:
             raise ValueError(
                 f"amplitude vector must have length 2**{self.n_qubits}, got shape {amps.shape}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
@@ -73,6 +75,8 @@ class DensityMatrix:
         dim = 2 ** len(labels)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim} for {len(labels)} qubits, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > TRACE_ATOL or abs(np.trace(m).imag) > TRACE_ATOL:
@@ -123,6 +127,8 @@ def state_from_basis_terms(n: int, terms: Sequence) -> PureState:
         if len(label) != n or any(ch not in "01" for ch in label):
             raise ValueError(f"basis label {label!r} is not a length-{n} bit string")
         amps[int(label, 2)] += complex(coeff)
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("coefficients must be finite")
     norm = np.linalg.norm(amps)
     if norm < 1e-15:
         raise ValueError("coefficients sum to the zero vector")

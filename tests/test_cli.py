@@ -38,6 +38,12 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert "[parse]" in capsys.readouterr().err
 
+    def test_non_finite_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n_qubits": 3, "amplitudes": [[NaN, 0]' + ', [0, 0]' * 7 + ']}')
+        assert main(["check", str(path)]) == 1
+        assert "[finite]" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.json")]) == 1
 
@@ -131,6 +137,15 @@ class TestWclassScan:
         assert main(["wclass-scan", "--n", "4", "--count", "2", "--seed", "5", "--out", str(a)]) == 0
         assert main(["wclass-scan", "--n", "4", "--count", "2", "--seed", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gap_summary_only_with_out(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["wclass-scan", "--n", "4", "--count", "2", "--seed", "5", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n=4 count=2 pairs=12"
+        assert lines[1].startswith("lower gap: min ") and lines[2].startswith("upper gap: min ")
+        assert main(["wclass-scan", "--n", "4", "--count", "2", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_bad_config_exits_one(self):
         assert main(["wclass-scan", "--n", "2", "--count", "1", "--seed", "0"]) == 1

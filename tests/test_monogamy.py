@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qmonogamy.concurrence
 from qmonogamy import (
     ab_rest_lower,
     ab_rest_upper,
@@ -21,6 +24,12 @@ from qmonogamy import (
     wclass_state,
     wootters_concurrence,
 )
+from qmonogamy.monogamy import role_name
+
+
+def random_wclass_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return wclass_state(np.sqrt(rng.dirichlet(np.ones(n))) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
 
 SAT4 = state_from_basis_terms(4, [("0000", 1), ("1001", 1)])
 TRIANGLE4 = state_from_basis_terms(4, [("0000", 1), ("0010", 1), ("1110", 1)])
@@ -205,6 +214,11 @@ class TestWclassStates:
         with pytest.raises(ValueError, match="at least 3"):
             wclass_state([1, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            wclass_state([bad, 0, 0])
+
     def test_non_wclass_input_rejected_by_bounds(self):
         with pytest.raises(ValueError, match="weight-1"):
             wclass_bounds(GHZ4, 0, 1)
@@ -308,3 +322,60 @@ class TestEvaluateAll:
     def test_random_states_always_satisfied(self, seed, n):
         report = evaluate_all(random_haar_state(n, seed))
         assert report.all_satisfied()
+
+
+class TestMarginalTable:
+    @pytest.mark.parametrize("kind", ["haar", "wclass"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_evaluate_all_traces_each_marginal_and_spectrum_once(self, n, kind, monkeypatch):
+        state = random_haar_state(n, 7) if kind == "haar" else random_wclass_state(n, 7)
+        traces, spectra = [], Counter()
+        partial_trace_fn = qmonogamy.concurrence.partial_trace
+        spectrum_fn = qmonogamy.concurrence.lambda_spectrum
+
+        def counted_trace(st, keep):
+            traces.append(tuple(sorted(keep)))
+            return partial_trace_fn(st, keep)
+
+        def counted_spectrum(dm):
+            spectra[dm.qubit_labels] += 1
+            return spectrum_fn(dm)
+
+        monkeypatch.setattr(qmonogamy.concurrence, "partial_trace", counted_trace)
+        monkeypatch.setattr(qmonogamy.concurrence, "lambda_spectrum", counted_spectrum)
+        report = evaluate_all(state)
+        assert report.all_satisfied()
+        assert ("wclass_upper" in {e.inequality for e in report.entries}) == (kind == "wclass")
+        assert spectra == Counter({(i, j): 1 for i in range(n) for j in range(i + 1, n)})
+        assert len(traces) == len(set(traces)) == n * (n - 1) // 2 + n + (n >= 6)
+
+    @given(seed=st.integers(0, 10**9), n=st.integers(3, 6), weight1=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_report_equals_public_functions(self, seed, n, weight1):
+        state = random_wclass_state(n, seed) if weight1 else random_haar_state(n, seed)
+        report = evaluate_all(state)
+        mid_ab = pure_concurrence_sq(state, [0, 1])
+        assert report.entry("ab_rest_lower").lhs == ab_rest_lower(state)
+        assert report.entry("ab_rest_lower").rhs == mid_ab
+        assert report.entry("ab_rest_upper").rhs == ab_rest_upper(state)
+        assert (report.entry("chain_lower").lhs, mid_ab, report.entry("chain_upper").rhs) == concurrence_chain(state)
+        for i in range(n):
+            for j in range(i + 1, n):
+                dm = partial_trace(state, [i, j])
+                pair = report.components[f"{role_name(i)}-{role_name(j)}"]
+                assert pair["concurrence_sq"] == wootters_concurrence(dm) ** 2
+                assert pair["assistance_sq"] == concurrence_of_assistance(dm) ** 2
+        if n >= 4:
+            mid_abc = pure_concurrence_sq(state, [0, 1, 2])
+            diff, hub = abc_rest_lower_diff(state), abc_rest_lower_hub(state)
+            assert (report.entry("abc_rest_lower_diff").lhs, report.entry("abc_rest_lower_diff").rhs) == (diff, mid_abc)
+            assert report.entry("abc_rest_lower_diff_clamped").lhs == max(0.0, diff)
+            assert report.entry("abc_rest_lower_hub").lhs == hub
+            assert report.entry("abc_rest_lower_hub_clamped").lhs == max(0.0, hub)
+            assert report.entry("abc_rest_upper").rhs == abc_rest_upper(state)
+        if weight1:
+            chains = [wclass_bounds(state, i, j) for i in range(n) for j in range(i + 1, n)]
+            lower, mid, _ = min(chains, key=lambda c: c[1] - c[0])
+            assert (report.entry("wclass_lower").lhs, report.entry("wclass_lower").rhs) == (lower, mid)
+            _, mid, upper = min(chains, key=lambda c: c[2] - c[1])
+            assert (report.entry("wclass_upper").lhs, report.entry("wclass_upper").rhs) == (mid, upper)

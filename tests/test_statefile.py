@@ -52,6 +52,14 @@ def test_bad_norm_rejected():
     assert err.value.code == "normalization"
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_amplitude_rejected(bad):
+    text = f'{{"n_qubits": 1, "amplitudes": [[1.0, 0.0], [{bad}, 0.0]]}}'
+    with pytest.raises(StateFileError) as err:
+        parse_state(text)
+    assert err.value.code == "finite"
+
+
 def test_malformed_document_rejected():
     for text in ("{not json", "[]", '{"n_qubits": 2}',
                  '{"n_qubits": "2", "amplitudes": []}',

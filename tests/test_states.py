@@ -46,12 +46,22 @@ class TestStateFromBasisTerms:
         with pytest.raises(ValueError):
             state_from_basis_terms(2, [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            state_from_basis_terms(2, [("00", 1), ("11", bad)])
+
     def test_repeated_labels_accumulate(self):
         state = state_from_basis_terms(1, [("0", 1), ("0", 1), ("1", 2)])
         np.testing.assert_allclose(np.abs(state.amplitudes), [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
 
 class TestPureStateInvariants:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(1, np.array([1.0, bad]))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             PureState(2, np.array([1.0, 0.0]))
@@ -71,6 +81,10 @@ class TestPureStateInvariants:
 
 
 class TestDensityMatrixInvariants:
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix((0,), np.diag([1.0, np.nan]).astype(complex))
+
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
