@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import builtin_cases, run_case
-from .monogamy import DEFAULT_TOLERANCE, BoundReport, evaluate_all, wclass_bounds, wclass_state
+from .monogamy import DEFAULT_TOLERANCE, BoundReport, _wclass_chain, _wclass_table, evaluate_all, wclass_state
 from .statefile import StateFileError, read_state_file, write_state_file
 from .states import MAX_QUBITS, random_haar_state
 
@@ -161,11 +161,11 @@ def cmd_wclass_scan(config: RunConfig) -> int:
         moduli_sq = rng.dirichlet(np.ones(n))
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
         coeffs = np.sqrt(moduli_sq) * np.exp(1j * phases)
-        state = wclass_state(coeffs)
+        table = _wclass_table(wclass_state(coeffs))
         ctext = ";".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in coeffs)
         for i in range(n):
             for j in range(i + 1, n):
-                lower, mid, upper = wclass_bounds(state, i, j)
+                lower, mid, upper = _wclass_chain(table, i, j)
                 gaps_lower.append(mid - lower)
                 gaps_upper.append(upper - mid)
                 if mid - lower < -config.tolerance or upper - mid < -config.tolerance:

@@ -7,12 +7,16 @@ of that decomposition is ``sum_i |(V tau V^T)_ii|`` with the symmetric tau
 matrix from :mod:`qmonogamy.concurrence`, so optimizing over isometries is a
 direct numerical evaluation of the convex-roof minimum or maximum.
 
-The search runs Haar-random restarts of a coordinate descent over Givens
-rotations of V's rows, then polishes the best incumbents with a smooth
-quasi-Newton pass.  For the minimum the polish objective is the sum of
+The search runs Haar-random restarts of sweeps over the row pairs of V.  Each
+step rotates one pair of rows by the 2x2 unitary that is exactly optimal for
+the pair's 2x2 block of ``V tau V^T``, found from that block's Takagi
+factorization (Uhlmann, PRA 62, 032307 (2000); Wootters, PRL 80, 2245
+(1998)).  The maximum takes the sum of moduli.  The minimum takes the sum of
 squared moduli: its global minimum is attained by the balanced decomposition
 that also attains the convex-roof minimum, and it is smooth where the plain
-sum of moduli has kinks (which otherwise stall coordinate descent near zero).
+sum has kinks.  A quasi-Newton pass then polishes the best incumbents.  Only
+local 2x2 blocks are factorized, never tau itself, whose Takagi values are
+the closed forms this oracle checks.
 """
 
 from __future__ import annotations
@@ -65,71 +69,62 @@ def _haar_isometries(count: int, m: int, r: int, rng) -> np.ndarray:
     return q
 
 
-_theta = np.linspace(0, np.pi / 2, 17)[:-1]
-_phi = np.linspace(0, 2 * np.pi, 25)[:-1]
-_TH, _PH = np.meshgrid(_theta, _phi, indexing="ij")
-_GRID_TH = _TH.ravel()[None, :]
-_GRID_PH = _PH.ravel()[None, :]
-_GRID_C = np.cos(_GRID_TH)
-_GRID_S = np.sin(_GRID_TH)
-_GRID_E = np.exp(1j * _GRID_PH)
+# Takes diag(s1, s2) to a block with off-diagonal entries (s1 + s2) / 2.
+_BALANCE = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
 
 
-def _rotated_pair(a, b, d, c, s, e):
-    # diagonal entries of U [[a, b], [b, d]] U^T for U = [[c, s e], [-s e*, c]]
-    mpp = c * c * a + 2 * c * s * e * b + s * s * e * e * d
-    mqq = s * s * np.conj(e) * np.conj(e) * a - 2 * c * s * np.conj(e) * b + c * c * d
-    return mpp, mqq
+def _score(diag: np.ndarray, mode: str) -> np.ndarray:
+    """What the search maximizes over the diagonal of V tau V^T (last axis).
+
+    Maximize: the sum of moduli.  Minimize: minus the sum of squared moduli.
+    """
+    if mode == "maximize":
+        return np.abs(diag).sum(axis=-1)
+    return -(np.abs(diag) ** 2).sum(axis=-1)
 
 
-def _sweep(v_stack, m_stack, tau, mode, squared, zooms=3):
-    """One pass of per-pair Givens updates over all row pairs, vectorized over restarts."""
-    count, m, _ = v_stack.shape
-    sign = 1.0 if mode == "maximize" else -1.0
+def _pair_unitaries(block: np.ndarray, mode: str) -> np.ndarray:
+    """Optimal 2x2 unitaries U for a stack of complex-symmetric 2x2 blocks B.
 
-    def score(mpp, mqq):
-        if squared:
-            return np.abs(mpp) ** 2 + np.abs(mqq) ** 2
-        return np.abs(mpp) + np.abs(mqq)
+    With the Takagi factorization B = W diag(s1, s2) W^T, ``U = W^H`` gives
+    ``|m_pp| + |m_qq| = s1 + s2`` in ``U B U^T``, the most any U gives, and
+    ``U = BALANCE W^H`` the largest ``|m_pq|``, ``(s1 + s2) / 2``, hence
+    (the Frobenius norm being fixed) the least ``|m_pp|^2 + |m_qq|^2``.
+    An eigenvector ``[x; y]`` of ``[[Re B, Im B], [Im B, -Re B]]`` (spectrum
+    ``+-s1, +-s2``) for eigenvalue s has ``B conj(w) = s w`` for
+    ``w = x + iy``; the two largest give a unitary W also when s1 = s2 or
+    s2 = 0.  That holds only for exactly symmetric B, so rounding asymmetry
+    is averaged out first.  A zero block keeps ``U = I``.
+    """
+    block = (block + block.swapaxes(-1, -2)) / 2
+    h = np.empty(block.shape[:-2] + (4, 4))
+    h[..., :2, :2] = block.real
+    h[..., :2, 2:] = block.imag
+    h[..., 2:, :2] = block.imag
+    h[..., 2:, 2:] = -block.real
+    _, vec = np.linalg.eigh(h)
+    u = (vec[..., :2, 2:] + 1j * vec[..., 2:, 2:]).conj().swapaxes(-1, -2)
+    if mode == "minimize":
+        u = _BALANCE @ u
+    u[~np.any(block, axis=(-2, -1))] = np.eye(2)
+    return u
 
+
+def _sweep(v_stack, m_stack, tau, mode):
+    """One exact optimizing step per row pair of V, vectorized over restarts.
+
+    Keeps ``m_stack`` equal to ``V tau V^T`` for the updated ``v_stack``.
+    """
+    m = v_stack.shape[1]
     for p in range(m):
         for q in range(p + 1, m):
-            a = m_stack[:, p, p][:, None]
-            b = m_stack[:, p, q][:, None]
-            d = m_stack[:, q, q][:, None]
-            f = sign * score(*_rotated_pair(a, b, d, _GRID_C, _GRID_S, _GRID_E))
-            k = np.argmax(f, axis=1)
-            tb = np.take_along_axis(np.broadcast_to(_GRID_TH, f.shape), k[:, None], 1)[:, 0]
-            pb = np.take_along_axis(np.broadcast_to(_GRID_PH, f.shape), k[:, None], 1)[:, 0]
-            dt, dp = (np.pi / 2) / 16, (2 * np.pi) / 24
-            for _ in range(zooms):
-                tg = tb[:, None] + np.linspace(-dt, dt, 9)[None, :]
-                pg = pb[:, None] + np.linspace(-dp, dp, 9)[None, :]
-                tt = np.repeat(tg[:, :, None], 9, axis=2).reshape(count, -1)
-                pp = np.repeat(pg[:, None, :], 9, axis=1).reshape(count, -1)
-                fz = sign * score(*_rotated_pair(a, b, d, np.cos(tt), np.sin(tt), np.exp(1j * pp)))
-                kz = np.argmax(fz, axis=1)
-                tb = np.take_along_axis(tt, kz[:, None], 1)[:, 0]
-                pb = np.take_along_axis(pp, kz[:, None], 1)[:, 0]
-                dt, dp = dt / 4, dp / 4
-            c, s, e = np.cos(tb), np.sin(tb), np.exp(1j * pb)
-            vp = v_stack[:, p, :].copy()
-            vq = v_stack[:, q, :].copy()
-            v_stack[:, p, :] = c[:, None] * vp + (s * e)[:, None] * vq
-            v_stack[:, q, :] = -(s * np.conj(e))[:, None] * vp + c[:, None] * vq
-            tp = v_stack[:, p, :] @ tau
-            tq = v_stack[:, q, :] @ tau
-            rowp = np.einsum("ri,rji->rj", tp, v_stack)
-            rowq = np.einsum("ri,rji->rj", tq, v_stack)
-            m_stack[:, p, :] = rowp
-            m_stack[:, :, p] = rowp
-            m_stack[:, q, :] = rowq
-            m_stack[:, :, q] = rowq
-            m_stack[:, q, p] = m_stack[:, p, q]
+            pair = [p, q]
+            v_stack[:, pair] = _pair_unitaries(m_stack[:, pair][:, :, pair], mode) @ v_stack[:, pair]
+            m_stack[...] = v_stack @ tau @ v_stack.swapaxes(1, 2)
 
 
-def _abs_diag_sums(m_stack) -> np.ndarray:
-    return np.abs(np.einsum("rii->ri", m_stack)).sum(axis=1)
+def _diag(m_stack) -> np.ndarray:
+    return np.einsum("...ii->...i", m_stack)
 
 
 def _unitary_from_params(x: np.ndarray, m: int) -> np.ndarray:
@@ -152,10 +147,7 @@ def _polish(v0: np.ndarray, tau: np.ndarray, mode: str, maxiter: int) -> np.ndar
 
     def objective(x):
         v = _unitary_from_params(x, m) @ v0
-        diag = np.einsum("ij,jk,ik->i", v, tau, v)
-        if mode == "maximize":
-            return -float(np.sum(np.abs(diag)))
-        return float(np.sum(np.abs(diag) ** 2))
+        return -float(_score(np.einsum("ij,jk,ik->i", v, tau, v), mode))
 
     res = minimize(objective, np.zeros(nparams), method="L-BFGS-B", options={"maxiter": maxiter})
     return _unitary_from_params(res.x, m) @ v0
@@ -199,16 +191,16 @@ def convex_roof_optimize(
     sign = 1.0 if mode == "maximize" else -1.0
 
     v_stack = _haar_isometries(restarts, m, rank, rng)
-    m_stack = np.einsum("rij,jk,rlk->ril", v_stack, tau, v_stack)
-    best = _abs_diag_sums(m_stack)
+    m_stack = v_stack @ tau @ v_stack.swapaxes(1, 2)
+    score = _score(_diag(m_stack), mode)
     for _ in range(sweeps):
-        _sweep(v_stack, m_stack, tau, mode, squared=(mode == "minimize"))
-        current = _abs_diag_sums(m_stack)
-        if np.max(sign * (current - best)) < tol * 1e-3:
-            best = current
+        _sweep(v_stack, m_stack, tau, mode)
+        gain = _score(_diag(m_stack), mode) - score
+        score += gain
+        if np.max(gain) < tol * 1e-3:
             break
-        best = current
 
+    best = np.abs(_diag(m_stack)).sum(axis=1)
     order = np.argsort(sign * best)[::-1]
     best_v = v_stack[order[0]]
     best_val = best[order[0]]

@@ -155,6 +155,12 @@ def is_weight1_supported(state: PureState) -> bool:
     return bool(np.max(np.abs(off), initial=0.0) <= WEIGHT1_SUPPORT_ATOL)
 
 
+def _wclass_table(state: PureState) -> MarginalTable:
+    if not is_weight1_supported(state):
+        raise ValueError("state is not supported on Hamming-weight-1 basis labels")
+    return MarginalTable(state)
+
+
 def _wclass_chain(t: MarginalTable, i: int, j: int):
     others = [k for k in range(t.n_qubits) if k not in (i, j)]
     lower = abs(sum(t.csq(i, k) - t.csq(j, k) for k in others))
@@ -173,9 +179,7 @@ def wclass_bounds(state: PureState, i: int, j: int):
     n = state.n_qubits
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
-    if not is_weight1_supported(state):
-        raise ValueError("state is not supported on Hamming-weight-1 basis labels")
-    return _wclass_chain(MarginalTable(state), i, j)
+    return _wclass_chain(_wclass_table(state), i, j)
 
 
 def role_name(q: int) -> str:

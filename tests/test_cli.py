@@ -1,6 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
+
+import qmonogamy.concurrence
 
 from qmonogamy import state_from_basis_terms, write_state_file
 from qmonogamy.cli import main
@@ -149,6 +152,31 @@ class TestWclassScan:
 
     def test_bad_config_exits_one(self):
         assert main(["wclass-scan", "--n", "2", "--count", "1", "--seed", "0"]) == 1
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_one_table_per_state(self, n, tmp_path, monkeypatch):
+        traces, spectra = Counter(), Counter()
+        partial_trace_fn = qmonogamy.concurrence.partial_trace
+        spectrum_fn = qmonogamy.concurrence.lambda_spectrum
+
+        def counted_trace(st, keep):
+            traces[tuple(sorted(keep))] += 1
+            return partial_trace_fn(st, keep)
+
+        def counted_spectrum(dm):
+            spectra[dm.qubit_labels] += 1
+            return spectrum_fn(dm)
+
+        monkeypatch.setattr(qmonogamy.concurrence, "partial_trace", counted_trace)
+        monkeypatch.setattr(qmonogamy.concurrence, "lambda_spectrum", counted_spectrum)
+        count = 2
+        assert main(["wclass-scan", "--n", str(n), "--count", str(count), "--seed", "3",
+                     "--out", str(tmp_path / "scan.csv")]) == 0
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert spectra == Counter({pair: count for pair in pairs})
+        # C^2(A_i A_j|rest) reuses the pair's marginal once the pair is the smaller side
+        singles = [(q,) for q in range(n)] if n == 3 else []
+        assert traces == Counter({key: count for key in pairs + singles})
 
 
 class TestExitCodeContract:

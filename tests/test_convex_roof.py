@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qmonogamy
+import qmonogamy.concurrence
+import qmonogamy.convex_roof
 from qmonogamy import (
     DensityMatrix,
     concurrence_of_assistance,
@@ -9,6 +13,8 @@ from qmonogamy import (
     state_from_basis_terms,
     wootters_concurrence,
 )
+from qmonogamy.concurrence import tau_matrix
+from qmonogamy.convex_roof import _haar_isometries, _pair_unitaries, _score, _sweep
 
 ORACLE_ATOL = 1e-3
 
@@ -125,3 +131,150 @@ def test_agreement_with_closed_forms_per_rank(rank):
         assert dec_max.reconstruction_error(dm) < 1e-8
         probs = [p for p, _ in dec_min.members]
         assert sum(probs) == pytest.approx(1.0, abs=1e-10)
+
+
+def random_symmetric_block(rng, scale=1.0):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return scale * (z + z.T) / 2
+
+
+def random_unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def pair_step(block, mode):
+    """U and U B U^T for one block."""
+    u = _pair_unitaries(block[None], mode)[0]
+    return u, u @ block @ u.T
+
+
+def assert_pair_step_optimal(block):
+    s1, s2 = np.linalg.svd(block, compute_uv=False)  # the Takagi values of a symmetric B
+    atol = 1e-12 * max(1.0, s1)
+    u, out = pair_step(block, "maximize")
+    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+    assert abs(out[0, 0]) + abs(out[1, 1]) == pytest.approx(s1 + s2, abs=atol)
+    u, out = pair_step(block, "minimize")
+    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+    assert abs(out[0, 1]) == pytest.approx((s1 + s2) / 2, abs=atol)
+    assert abs(out[0, 0]) ** 2 + abs(out[1, 1]) ** 2 == pytest.approx((s1 - s2) ** 2 / 2, abs=atol * max(1.0, s1))
+
+
+class TestPairStep:
+    def test_zero_block_keeps_identity(self):
+        u = _pair_unitaries(np.zeros((3, 2, 2), dtype=complex), "minimize")
+        assert np.array_equal(u, np.broadcast_to(np.eye(2), (3, 2, 2)))
+        assert np.array_equal(_pair_unitaries(np.zeros((1, 2, 2), dtype=complex), "maximize")[0], np.eye(2))
+
+    def test_zero_blocks_leave_v_unchanged(self):
+        v = _haar_isometries(5, 4, 2, np.random.default_rng(1))
+        tau = np.zeros((2, 2), dtype=complex)
+        v_before = v.copy()
+        m_stack = v @ tau @ v.swapaxes(1, 2)
+        for mode in ("minimize", "maximize"):
+            _sweep(v, m_stack, tau, mode)
+            assert np.array_equal(v, v_before)
+
+    def test_rank_one_block(self):
+        rng = np.random.default_rng(2)
+        w = random_unitary(rng, 2)[:, 0]
+        block = 0.7 * np.outer(w, w)
+        assert_pair_step_optimal(block)
+        _, out = pair_step(block, "maximize")
+        assert sorted([abs(out[0, 0]), abs(out[1, 1])]) == pytest.approx([0.0, 0.7], abs=1e-12)
+
+    def test_equal_takagi_values(self):
+        rng = np.random.default_rng(3)
+        w = random_unitary(rng, 2)
+        block = 0.4 * w @ w.T
+        assert np.linalg.svd(block, compute_uv=False) == pytest.approx([0.4, 0.4], abs=1e-14)
+        assert_pair_step_optimal(block)
+
+    def test_rounding_asymmetry_keeps_u_unitary(self):
+        # a noise-level block of V tau V^T whose off-diagonal entries differ in
+        # rounding by as much as the block's size
+        block = 1e-17 * np.array([[-8.3 - 0.7j, -2.1 - 6.2j], [-2.8 - 5.6j, -12.5 + 4.1j]])
+        for mode in ("minimize", "maximize"):
+            u = _pair_unitaries(block[None], mode)[0]
+            assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_random_blocks(self, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        block = random_symmetric_block(rng, 10.0**log_scale)
+        assert_pair_step_optimal(block)
+        # no unitary does better than the step
+        s1, s2 = np.linalg.svd(block, compute_uv=False)
+        for _ in range(20):
+            u = random_unitary(rng, 2)
+            out = u @ block @ u.T
+            assert abs(out[0, 0]) + abs(out[1, 1]) <= s1 + s2 + 1e-12 * max(1.0, s1)
+            assert abs(out[0, 1]) <= (s1 + s2) / 2 + 1e-12 * max(1.0, s1)
+
+    @pytest.mark.parametrize("mode", ["minimize", "maximize"])
+    @pytest.mark.parametrize("rank, m", [(2, 4), (3, 3), (4, 4), (3, 5), (4, 8)])
+    def test_sweep_keeps_v_isometric_and_m_consistent(self, mode, rank, m):
+        rng = np.random.default_rng(10 * rank + m)
+        tau = tau_matrix(random_two_qubit_mixed(rng, rank).matrix)
+        v = _haar_isometries(6, m, rank, rng)
+        m_stack = v @ tau @ v.swapaxes(1, 2)
+        for _ in range(10):
+            _sweep(v, m_stack, tau, mode)
+        assert np.allclose(v.conj().swapaxes(1, 2) @ v, np.eye(rank), atol=1e-12)
+        if m == rank:  # square V: its rows are orthonormal too
+            assert np.allclose(v @ v.conj().swapaxes(1, 2), np.eye(m), atol=1e-12)
+        assert np.allclose(m_stack, v @ tau @ v.swapaxes(1, 2), atol=1e-14)
+
+
+@pytest.mark.parametrize("mode", ["minimize", "maximize"])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_sweep_never_worsens_the_swept_objective(mode, rank):
+    rng = np.random.default_rng(40 + rank)
+    for _ in range(3):
+        tau = tau_matrix(random_two_qubit_mixed(rng, rank).matrix)
+        v = _haar_isometries(16, 4, rank, rng)
+        m_stack = v @ tau @ v.swapaxes(1, 2)
+        score = _score(np.einsum("rii->ri", m_stack), mode)
+        for _ in range(20):
+            _sweep(v, m_stack, tau, mode)
+            new = _score(np.einsum("rii->ri", m_stack), mode)
+            assert np.all(new >= score - 1e-12)
+            score = new
+
+
+@pytest.mark.parametrize("mode", ["minimize", "maximize"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_stop_test_tracks_the_swept_objective(mode, rank, monkeypatch):
+    # minimize sweeps the squared sum, so the loop must stop on its gain
+    gains = []
+    sweep = qmonogamy.convex_roof._sweep
+
+    def recording(v, m_stack, tau, mode_):
+        before = _score(np.einsum("rii->ri", m_stack), mode_)
+        sweep(v, m_stack, tau, mode_)
+        gains.append(np.max(_score(np.einsum("rii->ri", m_stack), mode_) - before))
+
+    monkeypatch.setattr(qmonogamy.convex_roof, "_sweep", recording)
+    dm = random_two_qubit_mixed(np.random.default_rng(50 + rank), rank)
+    convex_roof_optimize(dm, mode, seed=3, tol=1e-6, sweeps=200)
+    threshold = 1e-6 * 1e-3
+    assert all(g >= threshold for g in gains[:-1])
+    assert gains[-1] < threshold or len(gains) == 200
+
+
+def test_oracle_never_calls_the_closed_forms(monkeypatch):
+    rng = np.random.default_rng(77)
+    cases = [random_two_qubit_mixed(rng, rank) for rank in (2, 3, 4)]
+    expected = [(wootters_concurrence(dm), concurrence_of_assistance(dm)) for dm in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a closed form")
+
+    for module in (qmonogamy, qmonogamy.concurrence, qmonogamy.convex_roof):
+        for name in ("lambda_spectrum", "wootters_concurrence", "concurrence_of_assistance"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for dm, (cmin, cmax) in zip(cases, expected):
+        assert convex_roof_optimize(dm, "minimize", seed=1)[0] == pytest.approx(cmin, abs=ORACLE_ATOL)
+        assert convex_roof_optimize(dm, "maximize", seed=1)[0] == pytest.approx(cmax, abs=ORACLE_ATOL)

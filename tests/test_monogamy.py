@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import qmonogamy.concurrence
 from qmonogamy import (
+    MAX_QUBITS,
+    PureState,
     ab_rest_lower,
     ab_rest_upper,
     abc_rest_lower_diff,
@@ -15,6 +17,7 @@ from qmonogamy import (
     concurrence_of_assistance,
     evaluate_all,
     is_weight1_supported,
+    lambda_spectrum,
     partial_trace,
     pure_concurrence_sq,
     random_haar_state,
@@ -379,3 +382,69 @@ class TestMarginalTable:
             assert (report.entry("wclass_lower").lhs, report.entry("wclass_lower").rhs) == (lower, mid)
             _, mid, upper = min(chains, key=lambda c: c[2] - c[1])
             assert (report.entry("wclass_upper").lhs, report.entry("wclass_upper").rhs) == (mid, upper)
+
+
+class TestEvaluateAllEdges:
+    """evaluate_all at n = MAX_QUBITS, at the RANK_CUTOFF edge and on near-degenerate lambda."""
+
+    @given(seed=st.integers(0, 2**32 - 1), weight1=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_max_qubits_no_violations(self, seed, weight1):
+        state = random_wclass_state(MAX_QUBITS, seed) if weight1 else random_haar_state(MAX_QUBITS, seed)
+        report = evaluate_all(state)
+        assert report.n_qubits == MAX_QUBITS
+        assert report.all_satisfied()
+        assert ("wclass_upper" in {e.inequality for e in report.entries}) == weight1
+
+    @given(n=st.integers(3, 8), data=st.data(), log_eps=st.floats(-14, -10), phase=st.floats(0, 2 * np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_product_pair_marginals_at_rank_cutoff(self, n, data, log_eps, phase):
+        # sqrt(1 - eps)|x> + e^{i phase} sqrt(eps)|y> with eps on both sides of RANK_CUTOFF:
+        # a pair where x and y differ in at most one bit has a product marginal
+        x = data.draw(st.integers(0, 2**n - 1))
+        y = data.draw(st.integers(0, 2**n - 1).filter(lambda v: v != x))
+        eps = 10.0**log_eps
+        amplitudes = np.zeros(2**n, dtype=complex)
+        amplitudes[x] = np.sqrt(1 - eps)
+        amplitudes[y] = np.exp(1j * phase) * np.sqrt(eps)
+        report = evaluate_all(PureState(n, amplitudes))
+        assert report.all_satisfied()
+        flips = {q for q in range(n) if (x ^ y) >> (n - 1 - q) & 1}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if len(flips & {i, j}) > 1:
+                    continue  # a GHZ-like pair, entangled or with assistance
+                pair = report.components[f"{role_name(i)}-{role_name(j)}"]
+                if flips - {i, j}:
+                    # diagonal marginal of rank 1 or 2, the eps eigenvalue kept or cut
+                    assert pair == {"concurrence_sq": 0.0, "assistance_sq": 0.0}
+                else:
+                    # a pure product marginal: only its eigenvectors' rounding is left
+                    assert pair["concurrence_sq"] <= 1e-30
+                    assert pair["assistance_sq"] <= 1e-30
+
+    @given(
+        n=st.integers(3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.floats(0.1, np.pi / 2 - 0.1),
+        log_delta=st.floats(-12, -4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_near_degenerate_lambda(self, n, seed, theta, log_delta):
+        # GHZ-like pair marginals have lambda = (cs, cs, 0, 0) with c = cos theta,
+        # s = sin theta, so C = 0 and C_a = sin 2 theta; a delta perturbation
+        # splits the degenerate pair
+        rng = np.random.default_rng(seed)
+        delta = 10.0**log_delta
+        amplitudes = np.zeros(2**n, dtype=complex)
+        amplitudes[0] = np.cos(theta)
+        amplitudes[-1] = np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.sin(theta)
+        amplitudes += delta * random_haar_state(n, rng).amplitudes
+        state = PureState(n, amplitudes / np.linalg.norm(amplitudes))
+        l = lambda_spectrum(partial_trace(state, [0, 1]))
+        assert l[0] - l[1] <= 10 * delta
+        report = evaluate_all(state)
+        assert report.all_satisfied()
+        for pair in report.components.values():
+            assert pair["concurrence_sq"] <= delta
+            assert abs(pair["assistance_sq"] - np.sin(2 * theta) ** 2) <= 10 * delta
