@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,34 +19,13 @@ from .statefile import StateFileError, read_state_file, write_state_file
 from .states import MAX_QUBITS, random_haar_state
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    state_path: str | None = None
-    qubits: int = 4
-    count: int = 100
-    seed: int = 0
-    tolerance: float = DEFAULT_TOLERANCE
-    out: str | None = None
-    fmt: str = "json"
-
-    def validate(self):
-        if self.command in ("fuzz", "wclass-scan"):
-            if self.count < 1:
-                raise ValueError("count must be at least 1")
-            if not 3 <= self.qubits <= MAX_QUBITS:
-                raise ValueError(f"qubit count must be in [3, {MAX_QUBITS}]")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _report_csv(report: BoundReport) -> str:
+def _entries_csv(entries) -> str:
     lines = ["inequality,lhs,rhs,slack,satisfied"]
-    for e in report.entries:
+    for e in entries:
         lines.append(f"{e.inequality},{_fmt(e.lhs)},{_fmt(e.rhs)},{_fmt(e.slack)},{str(e.satisfied).lower()}")
     return "\n".join(lines) + "\n"
 
@@ -64,9 +42,9 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(args) -> int:
     try:
-        state = read_state_file(config.state_path)
+        state = read_state_file(args.state_file)
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 1
@@ -76,53 +54,50 @@ def cmd_check(config: RunConfig) -> int:
     if state.n_qubits < 3:
         print("error [qubits]: bound checking needs at least 3 qubits", file=sys.stderr)
         return 1
-    report = evaluate_all(state, tolerance=config.tolerance, state_id=str(config.state_path))
-    _emit(_report_csv(report) if config.fmt == "csv" else _report_json(report), config.out)
+    report = evaluate_all(state, tolerance=args.tolerance, state_id=str(args.state_file))
+    _emit(_entries_csv(report.entries) if args.format == "csv" else _report_json(report), args.out)
     return 0 if report.all_satisfied() else 2
 
 
-def cmd_fuzz(config: RunConfig) -> int:
+def cmd_fuzz(args) -> int:
     worst: dict = {}
     violations = []
-    for index in range(config.count):
-        state = random_haar_state(config.qubits, np.random.default_rng([config.seed, index]))
-        report = evaluate_all(state, tolerance=config.tolerance, state_id=f"fuzz-{config.seed}-{index}")
+    for index in range(args.count):
+        state = random_haar_state(args.qubits, np.random.default_rng([args.seed, index]))
+        report = evaluate_all(state, tolerance=args.tolerance, state_id=f"fuzz-{args.seed}-{index}")
         for e in report.entries:
             if e.inequality not in worst or e.slack < worst[e.inequality].slack:
                 worst[e.inequality] = e
             if not e.satisfied:
                 violations.append((index, state, e))
 
-    lines = [f"fuzz: n={config.qubits} count={config.count} seed={config.seed} tolerance={config.tolerance:g}"]
+    lines = [f"fuzz: n={args.qubits} count={args.count} seed={args.seed} tolerance={args.tolerance:g}"]
     lines.append(f"{'inequality':<28}{'min slack':>24}  satisfied")
     for name, e in worst.items():
         lines.append(f"{name:<28}{_fmt(e.slack):>24}  {str(e.satisfied).lower()}")
     summary = "\n".join(lines) + "\n"
 
-    if config.fmt == "csv":
-        rows = ["inequality,lhs,rhs,slack,satisfied"]
-        for name, e in worst.items():
-            rows.append(f"{name},{_fmt(e.lhs)},{_fmt(e.rhs)},{_fmt(e.slack)},{str(e.satisfied).lower()}")
-        _emit("\n".join(rows) + "\n", config.out)
-        if config.out:
+    if args.format == "csv":
+        _emit(_entries_csv(worst.values()), args.out)
+        if args.out:
             sys.stdout.write(summary)
     else:
         payload = {
-            "config": {"qubits": config.qubits, "count": config.count, "seed": config.seed,
-                       "tolerance": config.tolerance},
+            "config": {"qubits": args.qubits, "count": args.count, "seed": args.seed,
+                       "tolerance": args.tolerance},
             "min_slack": {
                 name: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
                 for name, e in worst.items()
             },
             "violations": len(violations),
         }
-        if config.out:
-            _emit(json.dumps(payload, indent=2) + "\n", config.out)
+        if args.out:
+            _emit(json.dumps(payload, indent=2) + "\n", args.out)
         sys.stdout.write(summary)
 
     if violations:
         for index, state, entry in violations[:8]:
-            path = f"violation-{config.seed}-{index}.json"
+            path = f"violation-{args.seed}-{index}.json"
             write_state_file(state, path)
             print(
                 f"violation: {entry.inequality} slack {entry.slack:.3e} on state {index}; dumped {path}",
@@ -132,7 +107,7 @@ def cmd_fuzz(config: RunConfig) -> int:
     return 0
 
 
-def cmd_reproduce_paper(config: RunConfig) -> int:
+def cmd_reproduce_paper(args) -> int:
     failures = 0
     all_rows = []
     for case in builtin_cases():
@@ -146,18 +121,18 @@ def cmd_reproduce_paper(config: RunConfig) -> int:
             })
             failures += 0 if ok else 1
     print(f"{len(all_rows) - failures}/{len(all_rows)} checks passed")
-    if config.out:
-        _emit(json.dumps({"checks": all_rows, "failures": failures}, indent=2) + "\n", config.out)
+    if args.out:
+        _emit(json.dumps({"checks": all_rows, "failures": failures}, indent=2) + "\n", args.out)
     return 0 if failures == 0 else 1
 
 
-def cmd_wclass_scan(config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    n = config.qubits
+def cmd_wclass_scan(args) -> int:
+    rng = np.random.default_rng(args.seed)
+    n = args.qubits
     rows = ["coefficients,pair,lower,mid,upper,gap_lower,gap_upper"]
     gaps_lower, gaps_upper = [], []
     bad = 0
-    for _ in range(config.count):
+    for _ in range(args.count):
         moduli_sq = rng.dirichlet(np.ones(n))
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
         coeffs = np.sqrt(moduli_sq) * np.exp(1j * phases)
@@ -168,15 +143,15 @@ def cmd_wclass_scan(config: RunConfig) -> int:
                 lower, mid, upper = _wclass_chain(table, i, j)
                 gaps_lower.append(mid - lower)
                 gaps_upper.append(upper - mid)
-                if mid - lower < -config.tolerance or upper - mid < -config.tolerance:
+                if mid - lower < -args.tolerance or upper - mid < -args.tolerance:
                     bad += 1
                 rows.append(
                     f"{ctext},{i + 1}-{j + 1},{_fmt(lower)},{_fmt(mid)},{_fmt(upper)},"
                     f"{_fmt(mid - lower)},{_fmt(upper - mid)}"
                 )
-    _emit("\n".join(rows) + "\n", config.out)
-    if config.out:
-        lines = [f"n={n} count={config.count} pairs={len(gaps_lower)}"]
+    _emit("\n".join(rows) + "\n", args.out)
+    if args.out:
+        lines = [f"n={n} count={args.count} pairs={len(gaps_lower)}"]
         for side, gaps in (("lower", gaps_lower), ("upper", gaps_upper)):
             lines.append(f"{side} gap: min {min(gaps):.3e}  mean {np.mean(gaps):.3e}  max {max(gaps):.3e}")
         sys.stdout.write("\n".join(lines) + "\n")
@@ -211,13 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("wclass-scan", help="scan random weight-1 states, emitting a CSV of bound chains")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", dest="qubits", metavar="N", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default=None)
 
     return parser
+
+
+COMMANDS = {
+    "check": cmd_check,
+    "fuzz": cmd_fuzz,
+    "reproduce-paper": cmd_reproduce_paper,
+    "wclass-scan": cmd_wclass_scan,
+}
 
 
 def main(argv=None) -> int:
@@ -227,24 +210,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for bound violations
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "check":
-            config = RunConfig("check", state_path=args.state_file, tolerance=args.tolerance,
-                               out=args.out, fmt=args.format)
-            config.validate()
-            return cmd_check(config)
-        if args.command == "fuzz":
-            config = RunConfig("fuzz", qubits=args.qubits, count=args.count, seed=args.seed,
-                               tolerance=args.tolerance, out=args.out, fmt=args.format)
-            config.validate()
-            return cmd_fuzz(config)
-        if args.command == "reproduce-paper":
-            config = RunConfig("reproduce-paper", out=args.out)
-            config.validate()
-            return cmd_reproduce_paper(config)
-        config = RunConfig("wclass-scan", qubits=args.n, count=args.count, seed=args.seed,
-                           tolerance=args.tolerance, out=args.out)
-        config.validate()
-        return cmd_wclass_scan(config)
+        if getattr(args, "count", 1) < 1:
+            raise ValueError("count must be at least 1")
+        if not 3 <= getattr(args, "qubits", 3) <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [3, {MAX_QUBITS}]")
+        if not 0 < getattr(args, "tolerance", DEFAULT_TOLERANCE) < np.inf:
+            raise ValueError("tolerance must be positive and finite")
+        return COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,10 @@ that also attains the convex-roof minimum, and it is smooth where the plain
 sum has kinks.  A quasi-Newton pass then polishes the best incumbents.  Only
 local 2x2 blocks are factorized, never tau itself, whose Takagi values are
 the closed forms this oracle checks.
+
+The settings are fixed: 32 restarts of four-member ensembles, at most 60
+sweeps each, stopping once no restart gains 1e-9 in a sweep, then 150
+quasi-Newton iterations on each of the 3 best incumbents.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ from .states import DensityMatrix, PureState
 
 RECONSTRUCTION_ATOL = 1e-8
 MEMBER_PROB_CUTOFF = 1e-12
-MAX_ENSEMBLE = 8
+RESTARTS = 32
+# Four members: Wootters' decomposition attaining the minimum has four
+# (PRL 80, 2245 (1998)), and a rank-3 separable mixture can need all four.
+ENSEMBLE_SIZE = 4
+MAX_SWEEPS = 60
+STOP_GAIN = 1e-9
+POLISH_TOP = 3
+POLISH_MAXITER = 150
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,7 @@ def _unitary_from_params(x: np.ndarray, m: int) -> np.ndarray:
     return (u * np.exp(-1j * w)) @ u.conj().T
 
 
-def _polish(v0: np.ndarray, tau: np.ndarray, mode: str, maxiter: int) -> np.ndarray:
+def _polish(v0: np.ndarray, tau: np.ndarray, mode: str) -> np.ndarray:
     """Quasi-Newton refinement over a unitary chart centered at ``v0``."""
     m = v0.shape[0]
     nparams = m * m
@@ -149,21 +160,11 @@ def _polish(v0: np.ndarray, tau: np.ndarray, mode: str, maxiter: int) -> np.ndar
         v = _unitary_from_params(x, m) @ v0
         return -float(_score(np.einsum("ij,jk,ik->i", v, tau, v), mode))
 
-    res = minimize(objective, np.zeros(nparams), method="L-BFGS-B", options={"maxiter": maxiter})
+    res = minimize(objective, np.zeros(nparams), method="L-BFGS-B", options={"maxiter": POLISH_MAXITER})
     return _unitary_from_params(res.x, m) @ v0
 
 
-def convex_roof_optimize(
-    dm: DensityMatrix,
-    mode: str,
-    restarts: int = 32,
-    ensemble_size: int | None = None,
-    seed=0,
-    sweeps: int = 60,
-    tol: float = 1e-6,
-    polish_top: int = 3,
-    polish_maxiter: int = 150,
-):
+def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
     """Best ensemble-average concurrence found over decompositions of ``dm``.
 
     Returns ``(value, EnsembleDecomposition)`` where the value is recomputed
@@ -177,12 +178,7 @@ def convex_roof_optimize(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     basis = _cleaned_root(dm.matrix)  # columns sqrt(mu_j)|e_j> on the support
-    rank = basis.shape[1]
-    m = max(rank, 4) if ensemble_size is None else int(ensemble_size)
-    if not rank <= m <= MAX_ENSEMBLE:
-        raise ValueError(f"ensemble size must lie in [{rank}, {MAX_ENSEMBLE}], got {m}")
-
-    if rank == 1:
+    if basis.shape[1] == 1:
         psi = basis[:, 0] / np.linalg.norm(basis[:, 0])
         decomposition = EnsembleDecomposition(dm.qubit_labels, ((1.0, PureState(2, psi)),))
         return decomposition.average_concurrence(), decomposition
@@ -190,22 +186,22 @@ def convex_roof_optimize(
     tau = tau_matrix(dm.matrix)
     sign = 1.0 if mode == "maximize" else -1.0
 
-    v_stack = _haar_isometries(restarts, m, rank, rng)
+    v_stack = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)
     m_stack = v_stack @ tau @ v_stack.swapaxes(1, 2)
     score = _score(_diag(m_stack), mode)
-    for _ in range(sweeps):
+    for _ in range(MAX_SWEEPS):
         _sweep(v_stack, m_stack, tau, mode)
         gain = _score(_diag(m_stack), mode) - score
         score += gain
-        if np.max(gain) < tol * 1e-3:
+        if np.max(gain) < STOP_GAIN:
             break
 
     best = np.abs(_diag(m_stack)).sum(axis=1)
     order = np.argsort(sign * best)[::-1]
     best_v = v_stack[order[0]]
     best_val = best[order[0]]
-    for idx in order[:polish_top]:
-        v = _polish(v_stack[idx], tau, mode, polish_maxiter)
+    for idx in order[:POLISH_TOP]:
+        v = _polish(v_stack[idx], tau, mode)
         val = float(np.sum(np.abs(np.einsum("ij,jk,ik->i", v, tau, v))))
         if sign * val > sign * best_val:
             best_val, best_v = val, v

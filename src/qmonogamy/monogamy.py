@@ -242,8 +242,8 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     """
     t = _table(state, 3, "bound evaluation")
     n = t.n_qubits
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < np.inf:
+        raise ValueError("tolerance must be positive and finite")
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     components = {

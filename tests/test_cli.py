@@ -188,6 +188,24 @@ class TestExitCodeContract:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["check", "fuzz", "wclass-scan"])
+    def test_non_finite_tolerance_exits_one(self, command, tolerance, sat4_file, tmp_path,
+                                            monkeypatch, capsys):
+        # rejected before any work: no report, no --out file, no dumped violation
+        argv = {
+            "check": ["check", str(sat4_file)],
+            "fuzz": ["fuzz", "--qubits", "3", "--count", "2", "--seed", "0"],
+            "wclass-scan": ["wclass-scan", "--n", "3", "--count", "2", "--seed", "0"],
+        }[command]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(argv + ["--tolerance", tolerance, "--out", "out.txt"]) == 1
+        captured = capsys.readouterr()
+        assert "error [config]" in captured.err and captured.out == ""
+        assert list(work.iterdir()) == []
+
 
 class TestFuzzRegression:
     def test_pinned_min_slack_table(self, tmp_path):

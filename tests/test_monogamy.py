@@ -317,8 +317,9 @@ class TestEvaluateAll:
         assert set(entry) == {"inequality", "lhs", "rhs", "slack", "satisfied"}
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            evaluate_all(SAT4, tolerance=0.0)
+        for tolerance in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                evaluate_all(SAT4, tolerance=tolerance)
 
     @given(seed=st.integers(0, 10**9), n=st.integers(3, 6))
     @settings(max_examples=25, deadline=None)
