@@ -10,8 +10,6 @@ Every check is held to the same tolerance, ``CHECK_TOLERANCE``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .concurrence import (
     concurrence_of_assistance,
@@ -29,25 +27,9 @@ from .monogamy import (
     wclass_bounds,
     wclass_state,
 )
-from .states import PureState, partial_trace, state_from_basis_terms
+from .states import partial_trace, state_from_basis_terms
 
 CHECK_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class ReferenceCheck:
-    quantity: str
-    compute: Callable[[PureState], float]
-    expected: float
-    note: str
-
-
-@dataclass(frozen=True)
-class ReferenceCase:
-    case_id: str
-    description: str
-    state: PureState
-    checks: tuple
 
 
 def _concurrence(i, j):
@@ -67,7 +49,7 @@ def _cut(*left):
 
 
 def builtin_cases():
-    """All bundled reference cases, built fresh on each call."""
+    """Fresh rows (case_id, description, state, checks), each check (quantity, compute, expected, note)."""
     sat4 = state_from_basis_terms(4, [("0000", 1), ("1001", 1)])
     # With |1010> as the third term (B = 0 throughout) no single-qubit
     # marginal has the spectrum {2/3, 1/3} that the pinned values require;
@@ -77,7 +59,7 @@ def builtin_cases():
     ex2 = state_from_basis_terms(6, [("000000", 1), ("001100", 1)])
     w5 = wclass_state([1 / math.sqrt(5)] * 5)
 
-    cases = [
+    return [
         ("saturating-4q", "(|0000> + |1001>)/sqrt(2): both AB|CD bounds saturate", sat4, [
             ("concurrence_sq[AB|CD]", _cut_sq(0, 1), 1.0, "one ebit across the AB|CD cut"),
             ("ab_rest_lower", ab_rest_lower, 1.0, "lower bound saturates"),
@@ -134,17 +116,3 @@ def builtin_cases():
             ("assistance[pair]", _assistance(0, 1), 2 / 5, "equal to the concurrence on weight-1 states"),
         ]),
     ]
-    return [
-        ReferenceCase(case_id, description, state, tuple(ReferenceCheck(*row) for row in rows))
-        for case_id, description, state, rows in cases
-    ]
-
-
-def run_case(case: ReferenceCase):
-    """Rows of (quantity, expected, computed, tolerance, ok, note) for one case."""
-    rows = []
-    for check in case.checks:
-        value = check.compute(case.state)
-        ok = abs(value - check.expected) <= CHECK_TOLERANCE
-        rows.append((check.quantity, check.expected, value, CHECK_TOLERANCE, ok, check.note))
-    return rows

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cases import builtin_cases, run_case
+from .cases import CHECK_TOLERANCE, builtin_cases
 from .monogamy import DEFAULT_TOLERANCE, BoundReport, _wclass_chain, _wclass_table, evaluate_all, wclass_state
 from .statefile import StateFileError, read_state_file, write_state_file
 from .states import MAX_QUBITS, random_haar_state
@@ -108,21 +108,22 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    failures = 0
-    all_rows = []
-    for case in builtin_cases():
-        print(f"case {case.case_id}: {case.description}")
-        for quantity, expected, computed, tol, ok, note in run_case(case):
+    rows = []
+    for case_id, description, state, checks in builtin_cases():
+        print(f"case {case_id}: {description}")
+        for quantity, compute, expected, note in checks:
+            computed = compute(state)
+            ok = abs(computed - expected) <= CHECK_TOLERANCE
             status = "ok" if ok else "FAIL"
             print(f"  {status:<5} {quantity:<30} expected {expected:>12.9g}  computed {computed:>12.9g}")
-            all_rows.append({
-                "case": case.case_id, "quantity": quantity, "expected": expected,
-                "computed": computed, "tolerance": tol, "ok": ok, "note": note,
+            rows.append({
+                "case": case_id, "quantity": quantity, "expected": expected,
+                "computed": computed, "tolerance": CHECK_TOLERANCE, "ok": ok, "note": note,
             })
-            failures += 0 if ok else 1
-    print(f"{len(all_rows) - failures}/{len(all_rows)} checks passed")
+    failures = sum(not row["ok"] for row in rows)
+    print(f"{len(rows) - failures}/{len(rows)} checks passed")
     if args.out:
-        _emit(json.dumps({"checks": all_rows, "failures": failures}, indent=2) + "\n", args.out)
+        _emit(json.dumps({"checks": rows, "failures": failures}, indent=2) + "\n", args.out)
     return 0 if failures == 0 else 1
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .concurrence import SPIN_FLIP_YY, _cleaned_root, tau_matrix
+from .concurrence import SPIN_FLIP_YY, _cleaned_root
 from .states import DensityMatrix, PureState
 
 RECONSTRUCTION_ATOL = 1e-8
@@ -183,7 +183,7 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
         decomposition = EnsembleDecomposition(dm.qubit_labels, ((1.0, PureState(2, psi)),))
         return decomposition.average_concurrence(), decomposition
 
-    tau = tau_matrix(dm.matrix)
+    tau = basis.T @ SPIN_FLIP_YY @ basis  # concurrence.tau_matrix, from the same factorization
     sign = 1.0 if mode == "maximize" else -1.0
 
     v_stack = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)
@@ -196,13 +196,13 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
         if np.max(gain) < STOP_GAIN:
             break
 
-    best = np.abs(_diag(m_stack)).sum(axis=1)
+    best = _score(_diag(m_stack), "maximize")
     order = np.argsort(sign * best)[::-1]
     best_v = v_stack[order[0]]
     best_val = best[order[0]]
     for idx in order[:POLISH_TOP]:
         v = _polish(v_stack[idx], tau, mode)
-        val = float(np.sum(np.abs(np.einsum("ij,jk,ik->i", v, tau, v))))
+        val = float(_score(np.einsum("ij,jk,ik->i", v, tau, v), "maximize"))
         if sign * val > sign * best_val:
             best_val, best_v = val, v
 

@@ -267,6 +267,10 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
         slack = rhs - lhs
         entries.append(BoundEntry(name, float(lhs), float(rhs), float(slack), bool(slack >= -tolerance)))
 
+    def add_worst(name, sides):
+        """Add the (lhs, rhs) with the least slack, the first pair on ties."""
+        add(name, *min(sides, key=lambda side: side[1] - side[0]))
+
     add("ab_rest_lower", _ab_rest_lower(t), mid_ab)
     add("ab_rest_upper", mid_ab, _ab_rest_upper(t))
     add("chain_lower", abs(a_sq - b_sq), mid_ab)
@@ -274,17 +278,8 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     add("dual_assist", a_sq, sum(t.casq(0, j) for j in range(1, n)))
     add("ckw", sum(t.csq(0, j) for j in range(1, n)), a_sq)
 
-    # linear-entropy triangle, worst pair of each side
-    lo_worst = min(
-        (doubles[(i, j)] - abs(singles[i] - singles[j]), (i, j)) for i, j in pairs
-    )
-    hi_worst = min(
-        (singles[i] + singles[j] - doubles[(i, j)], (i, j)) for i, j in pairs
-    )
-    i, j = lo_worst[1]
-    add("lin_entropy_lower", abs(singles[i] - singles[j]), doubles[(i, j)])
-    i, j = hi_worst[1]
-    add("lin_entropy_upper", doubles[(i, j)], singles[i] + singles[j])
+    add_worst("lin_entropy_lower", [(abs(singles[i] - singles[j]), doubles[i, j]) for i, j in pairs])
+    add_worst("lin_entropy_upper", [(doubles[i, j], singles[i] + singles[j]) for i, j in pairs])
 
     if n >= 4:
         mid_abc = t.cut_sq([0, 1, 2])
@@ -297,14 +292,8 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
         add("abc_rest_upper", mid_abc, _abc_rest_upper(t))
 
     if is_weight1_supported(state):
-        lo_w, hi_w = None, None
-        for i, j in pairs:
-            lower, mid, upper = _wclass_chain(t, i, j)
-            if lo_w is None or mid - lower < lo_w[0] - lo_w[1]:
-                lo_w = (mid, lower)
-            if hi_w is None or upper - mid < hi_w[1] - hi_w[0]:
-                hi_w = (mid, upper)
-        add("wclass_lower", lo_w[1], lo_w[0])
-        add("wclass_upper", hi_w[0], hi_w[1])
+        chains = [_wclass_chain(t, i, j) for i, j in pairs]
+        add_worst("wclass_lower", [(lower, mid) for lower, mid, _ in chains])
+        add_worst("wclass_upper", [(mid, upper) for _, mid, upper in chains])
 
     return BoundReport(state_id, n, tolerance, tuple(entries), components)

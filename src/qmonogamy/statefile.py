@@ -45,7 +45,7 @@ def parse_state(text: str) -> PureState:
     if not isinstance(doc, dict) or "n_qubits" not in doc or "amplitudes" not in doc:
         raise StateFileError("parse", "document must be an object with n_qubits and amplitudes")
     n = doc["n_qubits"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_QUBITS:
         raise StateFileError("parse", f"n_qubits must be an integer in [1, {MAX_QUBITS}]")
     raw = doc["amplitudes"]
     if not isinstance(raw, list) or any(

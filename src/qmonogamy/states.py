@@ -16,9 +16,11 @@ import numpy as np
 
 MAX_QUBITS = 12
 
-NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
+# Every marginal's trace is ||psi||^2 ~ 1 + 2 (||psi|| - 1), so a norm kept as
+# given must stay within TRACE_ATOL / 4, leaving half of TRACE_ATOL for rounding.
+NORM_ATOL = TRACE_ATOL / 4
 PSD_FLOOR = -1e-10
 
 
@@ -46,10 +48,6 @@ class PureState:
             amps = amps / norm
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
     def density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(tuple(range(self.n_qubits)), np.outer(self.amplitudes, self.amplitudes.conj()))

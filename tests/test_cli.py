@@ -5,7 +5,7 @@ import pytest
 
 import qmonogamy.concurrence
 
-from qmonogamy import state_from_basis_terms, write_state_file
+from qmonogamy import PureState, evaluate_all, random_haar_state, state_from_basis_terms, write_state_file
 from qmonogamy.cli import main
 from qmonogamy.monogamy import BoundEntry, BoundReport
 
@@ -72,6 +72,19 @@ class TestCheck:
     def test_bad_tolerance_exits_one(self, sat4_file, capsys):
         assert main(["check", str(sat4_file), "--tolerance", "-1"]) == 1
 
+    def test_norm_just_off_one_evaluates(self, tmp_path, capsys):
+        # a norm kept as given puts its square on every marginal's trace,
+        # which must stay within the density-matrix trace tolerance
+        for n in (3, 12):
+            base = random_haar_state(n, n).amplitudes
+            for delta in (5e-13, -5e-13, 8e-13, -8e-13, 1e-12, -1e-12):
+                assert evaluate_all(PureState(n, base * (1 + delta))).all_satisfied()
+        path = tmp_path / "near.json"
+        amps = random_haar_state(4, 3).amplitudes * (1 + 9e-13)
+        path.write_text(json.dumps({"n_qubits": 4, "amplitudes": [[a.real, a.imag] for a in amps]}))
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestFuzz:
     def test_small_run_exits_zero(self, capsys):
@@ -111,6 +124,9 @@ class TestReproducePaper:
         assert "FAIL" not in out
         assert "saturating-4q" in out
         assert "triangle-4q" in out
+        lines = out.splitlines()
+        assert "  ok    concurrence_sq[AB|CD]          expected            1  computed            1" in lines
+        assert lines[-1] == "42/42 checks passed"
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "cases.json"
@@ -119,6 +135,10 @@ class TestReproducePaper:
         assert doc["failures"] == 0
         quantities = {(row["case"], row["quantity"]) for row in doc["checks"]}
         assert ("six-qubit-bell-c1-c2", "abc_rest_lower_diff") in quantities
+        assert len(doc["checks"]) == 42
+        for row in doc["checks"]:
+            assert set(row) == {"case", "quantity", "expected", "computed", "tolerance", "ok", "note"}
+            assert row["tolerance"] == 1e-9
 
 
 class TestWclassScan:

@@ -18,6 +18,7 @@ from qmonogamy import (
     evaluate_all,
     is_weight1_supported,
     lambda_spectrum,
+    linear_entropy,
     partial_trace,
     pure_concurrence_sq,
     random_haar_state,
@@ -369,6 +370,16 @@ class TestMarginalTable:
                 pair = report.components[f"{role_name(i)}-{role_name(j)}"]
                 assert pair["concurrence_sq"] == wootters_concurrence(dm) ** 2
                 assert pair["assistance_sq"] == concurrence_of_assistance(dm) ** 2
+        single = [linear_entropy(partial_trace(state, [q])) for q in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        double = {(i, j): linear_entropy(partial_trace(state, [i, j])) for i, j in pairs}
+        # the least-slack pair, the first in pair order on ties
+        lo = min(pairs, key=lambda p: double[p] - abs(single[p[0]] - single[p[1]]))
+        hi = min(pairs, key=lambda p: single[p[0]] + single[p[1]] - double[p])
+        assert (report.entry("lin_entropy_lower").lhs, report.entry("lin_entropy_lower").rhs) == (
+            abs(single[lo[0]] - single[lo[1]]), double[lo])
+        assert (report.entry("lin_entropy_upper").lhs, report.entry("lin_entropy_upper").rhs) == (
+            double[hi], single[hi[0]] + single[hi[1]])
         if n >= 4:
             mid_abc = pure_concurrence_sq(state, [0, 1, 2])
             diff, hub = abc_rest_lower_diff(state), abc_rest_lower_hub(state)

@@ -64,7 +64,8 @@ def test_malformed_document_rejected():
     for text in ("{not json", "[]", '{"n_qubits": 2}',
                  '{"n_qubits": "2", "amplitudes": []}',
                  '{"n_qubits": 1, "amplitudes": [[1.0], [0.0]]}',
-                 '{"n_qubits": 1, "amplitudes": [[1.0, "x"], [0.0, 0.0]]}'):
+                 '{"n_qubits": 1, "amplitudes": [[1.0, "x"], [0.0, 0.0]]}',
+                 '{"n_qubits": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}'):
         with pytest.raises(StateFileError) as err:
             parse_state(text)
         assert err.value.code == "parse"
