@@ -14,9 +14,12 @@ import sys
 import numpy as np
 
 from .cases import CHECK_TOLERANCE, builtin_cases
-from .monogamy import DEFAULT_TOLERANCE, BoundReport, _wclass_chain, _wclass_table, evaluate_all, wclass_state
+from .concurrence import MarginalTable
+from .monogamy import DEFAULT_TOLERANCE, BoundReport, _report, _wclass_chain, _wclass_table, evaluate_all, wclass_state
 from .statefile import StateFileError, read_state_file, write_state_file
 from .states import MAX_QUBITS, random_haar_state
+
+FUZZ_CHUNK = 64  # states per table fill in ``fuzz``; no output depends on it
 
 
 def _fmt(x: float) -> str:
@@ -62,14 +65,16 @@ def cmd_check(args) -> int:
 def cmd_fuzz(args) -> int:
     worst: dict = {}
     violations = []
-    for index in range(args.count):
-        state = random_haar_state(args.qubits, np.random.default_rng([args.seed, index]))
-        report = evaluate_all(state, tolerance=args.tolerance, state_id=f"fuzz-{args.seed}-{index}")
-        for e in report.entries:
-            if e.inequality not in worst or e.slack < worst[e.inequality].slack:
-                worst[e.inequality] = e
-            if not e.satisfied:
-                violations.append((index, state, e))
+    for start in range(0, args.count, FUZZ_CHUNK):
+        indices = range(start, min(start + FUZZ_CHUNK, args.count))
+        table = MarginalTable(random_haar_state(args.qubits, np.random.default_rng([args.seed, i])) for i in indices)
+        for index, row in zip(indices, table.rows):
+            report = _report(row, args.tolerance, f"fuzz-{args.seed}-{index}")
+            for e in report.entries:
+                if e.inequality not in worst or e.slack < worst[e.inequality].slack:
+                    worst[e.inequality] = e
+                if not e.satisfied:
+                    violations.append((index, row.state, e))
 
     lines = [f"fuzz: n={args.qubits} count={args.count} seed={args.seed} tolerance={args.tolerance:g}"]
     lines.append(f"{'inequality':<28}{'min slack':>24}  satisfied")

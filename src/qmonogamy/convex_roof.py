@@ -183,7 +183,7 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
         decomposition = EnsembleDecomposition(dm.qubit_labels, ((1.0, PureState(2, psi)),))
         return decomposition.average_concurrence(), decomposition
 
-    tau = basis.T @ SPIN_FLIP_YY @ basis  # concurrence.tau_matrix, from the same factorization
+    tau = basis.T @ SPIN_FLIP_YY @ basis  # the tau of concurrence.lambda_spectra
     sign = 1.0 if mode == "maximize" else -1.0
 
     v_stack = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)

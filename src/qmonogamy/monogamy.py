@@ -13,44 +13,44 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concurrence import MarginalTable
-from .states import MAX_QUBITS, PureState, linear_entropy
+from .concurrence import MarginalTable, TableRow
+from .states import MAX_QUBITS, PureState
 
 WEIGHT1_SUPPORT_ATOL = 1e-12
 DEFAULT_TOLERANCE = 1e-7
 TRIANGLE_DEGENERATE_EPS = 1e-12
 
 
-def _table(state: PureState, minimum: int, what: str) -> MarginalTable:
+def _table(state: PureState, minimum: int, what: str) -> TableRow:
     if state.n_qubits < minimum:
         raise ValueError(f"{what} needs at least {minimum} qubits, got {state.n_qubits}")
-    return MarginalTable(state)
+    return MarginalTable([state]).rows[0]
 
 
-def _ab_rest_lower(t: MarginalTable) -> float:
+def _ab_rest_lower(t: TableRow) -> float:
     cs = range(2, t.n_qubits)
     sum_a = sum(t.csq(0, c) - t.casq(1, c) for c in cs)
     sum_b = sum(t.csq(1, c) - t.casq(0, c) for c in cs)
     return float(max(sum_a, sum_b))
 
 
-def _ab_rest_upper(t: MarginalTable) -> float:
+def _ab_rest_upper(t: TableRow) -> float:
     cs = range(2, t.n_qubits)
     total = 2.0 * t.casq(0, 1)
     total += sum(t.casq(0, c) + t.casq(1, c) for c in cs)
     return float(total)
 
 
-def _c1_assistance(t: MarginalTable) -> float:
+def _c1_assistance(t: TableRow) -> float:
     """C1's assistance total: C_a^2 of C1 with every other qubit."""
     return sum(t.casq(2, j) for j in [0, 1] + list(range(3, t.n_qubits)))
 
 
-def _abc_rest_lower_diff(t: MarginalTable) -> float:
+def _abc_rest_lower_diff(t: TableRow) -> float:
     return float(_ab_rest_lower(t) - _c1_assistance(t))
 
 
-def _abc_rest_lower_hub(t: MarginalTable) -> float:
+def _abc_rest_lower_hub(t: TableRow) -> float:
     cs = range(2, t.n_qubits)
     total = t.csq(0, 2) + t.csq(1, 2)
     total += sum(t.csq(2, c) for c in cs if c != 2)
@@ -59,7 +59,7 @@ def _abc_rest_lower_hub(t: MarginalTable) -> float:
     return float(total)
 
 
-def _abc_rest_upper(t: MarginalTable) -> float:
+def _abc_rest_upper(t: TableRow) -> float:
     return float(_ab_rest_upper(t) + _c1_assistance(t))
 
 
@@ -155,13 +155,13 @@ def is_weight1_supported(state: PureState) -> bool:
     return bool(np.max(np.abs(off), initial=0.0) <= WEIGHT1_SUPPORT_ATOL)
 
 
-def _wclass_table(state: PureState) -> MarginalTable:
+def _wclass_table(state: PureState) -> TableRow:
     if not is_weight1_supported(state):
         raise ValueError("state is not supported on Hamming-weight-1 basis labels")
-    return MarginalTable(state)
+    return MarginalTable([state]).rows[0]
 
 
-def _wclass_chain(t: MarginalTable, i: int, j: int):
+def _wclass_chain(t: TableRow, i: int, j: int):
     others = [k for k in range(t.n_qubits) if k not in (i, j)]
     lower = abs(sum(t.csq(i, k) - t.csq(j, k) for k in others))
     mid = t.cut_sq([i, j])
@@ -240,11 +240,13 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     slack >= -tolerance.  Raw and clamped readings of the signed lower bounds
     are reported separately.
     """
-    t = _table(state, 3, "bound evaluation")
-    n = t.n_qubits
     if not 0 < tolerance < np.inf:
         raise ValueError("tolerance must be positive and finite")
+    return _report(_table(state, 3, "bound evaluation"), tolerance, state_id)
 
+
+def _report(t: TableRow, tolerance: float, state_id: str) -> BoundReport:
+    n = t.n_qubits
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     components = {
         f"{role_name(i)}-{role_name(j)}": {
@@ -254,8 +256,8 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
         for i, j in pairs
     }
 
-    singles = {q: linear_entropy(t.marginal([q])) for q in range(n)}
-    doubles = {(i, j): linear_entropy(t.marginal([i, j])) for i, j in pairs}
+    singles = {q: t.linear_entropy([q]) for q in range(n)}
+    doubles = {(i, j): t.linear_entropy((i, j)) for i, j in pairs}
 
     mid_ab = t.cut_sq([0, 1])
     a_sq = t.cut_sq([0])
@@ -291,7 +293,7 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
         add("abc_rest_lower_hub_clamped", max(0.0, hub), mid_abc)
         add("abc_rest_upper", mid_abc, _abc_rest_upper(t))
 
-    if is_weight1_supported(state):
+    if is_weight1_supported(t.state):
         chains = [_wclass_chain(t, i, j) for i, j in pairs]
         add_worst("wclass_lower", [(lower, mid) for lower, mid, _ in chains])
         add_worst("wclass_upper", [(mid, upper) for _, mid, upper in chains])

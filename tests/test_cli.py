@@ -1,12 +1,15 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
-import qmonogamy.concurrence
+import qmonogamy.cli
+import qmonogamy.monogamy
 
-from qmonogamy import PureState, evaluate_all, random_haar_state, state_from_basis_terms, write_state_file
-from qmonogamy.cli import main
+from qmonogamy import (PureState, evaluate_all, random_haar_state, read_state_file, state_from_basis_terms,
+                       write_state_file)
+from qmonogamy.cli import FUZZ_CHUNK as DEFAULT_CHUNK, main
 from qmonogamy.monogamy import BoundEntry, BoundReport
 
 
@@ -116,6 +119,69 @@ class TestFuzz:
         assert main(["fuzz", "--qubits", "2", "--count", "5", "--seed", "1"]) == 1
         assert main(["fuzz", "--qubits", "4", "--count", "0", "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_one_fill_per_chunk(self, n, monkeypatch, table_work):
+        monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", 7)
+        assert main(["fuzz", "--qubits", str(n), "--count", "15", "--seed", "2"]) == 0
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert table_work.fills == [7, 7, 1]
+        assert [[stack.shape for stack in calls] for calls in table_work.spectra] == [
+            [(size, len(pairs), 4, 4)] for size in (7, 7, 1)]
+        for marginals in table_work.marginals:
+            assert set(marginals.values()) == {1}
+            assert len(marginals) == len(pairs) + n + (n >= 6)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_output_does_not_depend_on_the_chunk(self, n, tmp_path, monkeypatch, capsys):
+        seed = 4
+        for count in (3, 15, 2 * DEFAULT_CHUNK + 1):  # 2 * chunk + 1 for chunks 1, 7 and the default
+            outputs = set()
+            for chunk in (1, 7, DEFAULT_CHUNK):
+                monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", chunk)
+                argv = ["fuzz", "--qubits", str(n), "--count", str(count), "--seed", str(seed)]
+                assert main(argv + ["--out", str(tmp_path / "fuzz.json")]) == 0
+                assert main(argv + ["--format", "csv", "--out", str(tmp_path / "fuzz.csv")]) == 0
+                assert main(argv + ["--format", "csv"]) == 0
+                outputs.add(((tmp_path / "fuzz.json").read_bytes(), (tmp_path / "fuzz.csv").read_bytes(),
+                             capsys.readouterr().out))
+            assert len(outputs) == 1
+            # each row is the least-slack entry of a per-state loop, the first state on ties
+            worst = {}
+            for index in range(count):
+                state = random_haar_state(n, np.random.default_rng([seed, index]))
+                for e in evaluate_all(state).entries:
+                    if e.inequality not in worst or e.slack < worst[e.inequality].slack:
+                        worst[e.inequality] = e
+            doc = json.loads((tmp_path / "fuzz.json").read_text())
+            assert doc["min_slack"] == {
+                name: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
+                for name, e in worst.items()}
+
+    def test_violations_dump_the_first_eight_states(self, tmp_path, monkeypatch, capsys):
+        # a broken upper bound on nine states, six of them past the first chunk of 4
+        seed, count, failing = 5, 16, [1, 2, 5, 6, 9, 10, 11, 13, 14]
+        monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", 4)
+        states = [random_haar_state(3, np.random.default_rng([seed, index])) for index in range(count)]
+        broken = {states[index].amplitudes.tobytes() for index in failing}
+        upper = qmonogamy.monogamy._ab_rest_upper
+        monkeypatch.setattr(qmonogamy.monogamy, "_ab_rest_upper",
+                            lambda t: -1.0 if t.state.amplitudes.tobytes() in broken else upper(t))
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--qubits", "3", "--count", str(count), "--seed", str(seed),
+                     "--out", "fuzz.json"]) == 2
+        assert json.loads((tmp_path / "fuzz.json").read_text())["violations"] == len(failing)
+        dumped = failing[:8]
+        assert sorted(p.name for p in tmp_path.glob("violation-*")) == sorted(
+            f"violation-{seed}-{index}.json" for index in dumped)
+        for index in dumped:
+            reloaded = read_state_file(tmp_path / f"violation-{seed}-{index}.json")
+            np.testing.assert_array_equal(reloaded.amplitudes, states[index].amplitudes)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(dumped)
+        for line, index in zip(err, dumped):
+            assert line.startswith("violation: ab_rest_upper slack -")
+            assert line.endswith(f" on state {index}; dumped violation-{seed}-{index}.json")
+
 
 class TestReproducePaper:
     def test_all_checks_pass(self, capsys):
@@ -174,29 +240,16 @@ class TestWclassScan:
         assert main(["wclass-scan", "--n", "2", "--count", "1", "--seed", "0"]) == 1
 
     @pytest.mark.parametrize("n", [3, 6, 10])
-    def test_one_table_per_state(self, n, tmp_path, monkeypatch):
-        traces, spectra = Counter(), Counter()
-        partial_trace_fn = qmonogamy.concurrence.partial_trace
-        spectrum_fn = qmonogamy.concurrence.lambda_spectrum
-
-        def counted_trace(st, keep):
-            traces[tuple(sorted(keep))] += 1
-            return partial_trace_fn(st, keep)
-
-        def counted_spectrum(dm):
-            spectra[dm.qubit_labels] += 1
-            return spectrum_fn(dm)
-
-        monkeypatch.setattr(qmonogamy.concurrence, "partial_trace", counted_trace)
-        monkeypatch.setattr(qmonogamy.concurrence, "lambda_spectrum", counted_spectrum)
+    def test_one_table_per_state(self, n, tmp_path, table_work):
         count = 2
         assert main(["wclass-scan", "--n", str(n), "--count", str(count), "--seed", "3",
                      "--out", str(tmp_path / "scan.csv")]) == 0
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert spectra == Counter({pair: count for pair in pairs})
+        assert table_work.fills == [1] * count
+        assert [[stack.shape for stack in calls] for calls in table_work.spectra] == [[(1, len(pairs), 4, 4)]] * count
         # C^2(A_i A_j|rest) reuses the pair's marginal once the pair is the smaller side
         singles = [(q,) for q in range(n)] if n == 3 else []
-        assert traces == Counter({key: count for key in pairs + singles})
+        assert table_work.marginals == [Counter({key: 1 for key in pairs + singles})] * count
 
 
 class TestExitCodeContract:

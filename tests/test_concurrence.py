@@ -99,6 +99,11 @@ class TestConcurrencePure:
         with pytest.raises(ValueError, match="cover"):
             concurrence_pure(state, Partition(frozenset({0}), frozenset({1})))
 
+    @pytest.mark.parametrize("left", [[], [0, 1, 2], [3], [0, 5]])
+    def test_squared_cut_needs_a_proper_subset(self, left):
+        with pytest.raises(ValueError, match="proper subset"):
+            pure_concurrence_sq(state_from_basis_terms(3, [("000", 1), ("111", 1)]), left)
+
     @given(seed=st.integers(0, 10**9), n=st.integers(2, 6), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_symmetric_under_side_swap(self, seed, n, data):

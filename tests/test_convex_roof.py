@@ -13,10 +13,16 @@ from qmonogamy import (
     state_from_basis_terms,
     wootters_concurrence,
 )
-from qmonogamy.concurrence import tau_matrix
+from qmonogamy.concurrence import SPIN_FLIP_YY, _cleaned_root
 from qmonogamy.convex_roof import STOP_GAIN, _haar_isometries, _pair_unitaries, _score, _sweep
 
 ORACLE_ATOL = 1e-3
+
+
+def tau_matrix(matrix):
+    """The oracle's symmetric tau on the support of ``matrix``."""
+    basis = _cleaned_root(matrix)
+    return basis.T @ SPIN_FLIP_YY @ basis
 
 
 def random_two_qubit_mixed(rng, rank):
@@ -282,7 +288,7 @@ def test_oracle_never_calls_the_closed_forms(monkeypatch):
         raise AssertionError("the oracle called a closed form")
 
     for module in (qmonogamy, qmonogamy.concurrence, qmonogamy.convex_roof):
-        for name in ("lambda_spectrum", "wootters_concurrence", "concurrence_of_assistance"):
+        for name in ("lambda_spectra", "lambda_spectrum", "wootters_concurrence", "concurrence_of_assistance"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     for dm, (cmin, cmax) in zip(cases, expected):
         assert convex_roof_optimize(dm, "minimize", seed=1)[0] == pytest.approx(cmin, abs=ORACLE_ATOL)

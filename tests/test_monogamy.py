@@ -1,10 +1,9 @@
-from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qmonogamy.concurrence
 from qmonogamy import (
     MAX_QUBITS,
     PureState,
@@ -28,6 +27,7 @@ from qmonogamy import (
     wclass_state,
     wootters_concurrence,
 )
+from qmonogamy.concurrence import MarginalTable
 from qmonogamy.monogamy import role_name
 
 
@@ -332,27 +332,52 @@ class TestEvaluateAll:
 class TestMarginalTable:
     @pytest.mark.parametrize("kind", ["haar", "wclass"])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_evaluate_all_traces_each_marginal_and_spectrum_once(self, n, kind, monkeypatch):
+    def test_evaluate_all_traces_each_marginal_and_spectrum_once(self, n, kind, table_work):
         state = random_haar_state(n, 7) if kind == "haar" else random_wclass_state(n, 7)
-        traces, spectra = [], Counter()
-        partial_trace_fn = qmonogamy.concurrence.partial_trace
-        spectrum_fn = qmonogamy.concurrence.lambda_spectrum
-
-        def counted_trace(st, keep):
-            traces.append(tuple(sorted(keep)))
-            return partial_trace_fn(st, keep)
-
-        def counted_spectrum(dm):
-            spectra[dm.qubit_labels] += 1
-            return spectrum_fn(dm)
-
-        monkeypatch.setattr(qmonogamy.concurrence, "partial_trace", counted_trace)
-        monkeypatch.setattr(qmonogamy.concurrence, "lambda_spectrum", counted_spectrum)
         report = evaluate_all(state)
         assert report.all_satisfied()
         assert ("wclass_upper" in {e.inequality for e in report.entries}) == (kind == "wclass")
-        assert spectra == Counter({(i, j): 1 for i in range(n) for j in range(i + 1, n)})
-        assert len(traces) == len(set(traces)) == n * (n - 1) // 2 + n + (n >= 6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert table_work.fills == [1]
+        # one spectrum call, holding each pair's marginal once, in pair order
+        [stack] = table_work.spectra[0]
+        np.testing.assert_array_equal(stack, [[partial_trace(state, pair).matrix for pair in pairs]])
+        # pairs, singles, and at n >= 6 the ABC1 cut: each traced once
+        marginals = table_work.marginals[0]
+        assert set(marginals.values()) == {1}
+        assert len(marginals) == n * (n - 1) // 2 + n + (n >= 6)
+
+    # how a row reads each kind of marginal: the pair fill, a single, a larger cut
+    READS = {(0, 1): lambda row: row.csq(0, 1), (0,): lambda row: row.cut_sq([0]),
+             (0, 1, 2): lambda row: row.cut_sq([0, 1, 2])}
+
+    @pytest.mark.parametrize("keep", READS)
+    def test_fill_keeps_the_trace_check(self, keep):
+        good = [random_haar_state(6, seed) for seed in range(3)]
+        self.READS[keep](MarginalTable(good).rows[0])
+        # past the norm check of PureState: the marginal traces are 1 + 2e-9
+        off = SimpleNamespace(n_qubits=6, amplitudes=good[1].amplitudes * (1 + 1e-9))
+        with pytest.raises(ValueError, match="trace"):
+            self.READS[keep](MarginalTable([good[0], off, good[2]]).rows[0])
+
+    @pytest.mark.parametrize("keep", READS)
+    def test_fill_keeps_the_psd_floor(self, keep, monkeypatch):
+        # the product state |0...0> has diagonal marginals with zero eigenvalues;
+        # moving 1e-9 of weight between two of them keeps the trace and breaks the floor
+        marginal = MarginalTable._marginal
+
+        def shifted(table, qubits):
+            rho = marginal(table, qubits)
+            if qubits == keep:
+                rho[1:, -1, -1] -= 1e-9
+                rho[1:, -2, -2] += 1e-9
+            return rho
+
+        monkeypatch.setattr(MarginalTable, "_marginal", shifted)
+        states = [random_haar_state(6, 0), state_from_basis_terms(6, [("000000", 1)])]
+        self.READS[keep](MarginalTable(states[:1]).rows[0])
+        with pytest.raises(ValueError, match="PSD"):
+            self.READS[keep](MarginalTable(states).rows[0])
 
     @given(seed=st.integers(0, 10**9), n=st.integers(3, 6), weight1=st.booleans())
     @settings(max_examples=40, deadline=None)
