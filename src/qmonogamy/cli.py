@@ -46,14 +46,7 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_check(args) -> int:
-    try:
-        state = read_state_file(args.state_file)
-    except OSError as exc:
-        print(f"error [io]: {exc}", file=sys.stderr)
-        return 1
-    except StateFileError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+    state = read_state_file(args.state_file)
     if state.n_qubits < 3:
         print("error [qubits]: bound checking needs at least 3 qubits", file=sys.stderr)
         return 1
@@ -223,6 +216,12 @@ def main(argv=None) -> int:
         if not 0 < getattr(args, "tolerance", DEFAULT_TOLERANCE) < np.inf:
             raise ValueError("tolerance must be positive and finite")
         return COMMANDS[args.command](args)
+    except OSError as exc:
+        print(f"error [io]: {exc}", file=sys.stderr)
+        return 1
+    except StateFileError as exc:
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 1

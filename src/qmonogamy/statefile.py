@@ -40,7 +40,7 @@ def serialize_state(state: PureState) -> str:
 def parse_state(text: str) -> PureState:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over Python's digit limit
         raise StateFileError("parse", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n_qubits" not in doc or "amplitudes" not in doc:
         raise StateFileError("parse", "document must be an object with n_qubits and amplitudes")
@@ -56,7 +56,10 @@ def parse_state(text: str) -> PureState:
         raise StateFileError("parse", "amplitudes must be a list of [re, im] number pairs")
     if len(raw) != 2**n:
         raise StateFileError("length", f"expected 2**{n} = {2**n} amplitudes, got {len(raw)}")
-    amps = np.array([complex(re, im) for re, im in raw])
+    try:
+        amps = np.array([complex(re, im) for re, im in raw])
+    except OverflowError as exc:  # an integer literal beyond the double range
+        raise StateFileError("finite", f"amplitude out of the double range: {exc}") from exc
     if not np.all(np.isfinite(amps)):
         raise StateFileError("finite", "amplitudes must be finite numbers, not NaN or Infinity")
     norm = float(np.linalg.norm(amps))
@@ -73,5 +76,9 @@ def write_state_file(state: PureState, path) -> None:
 
 
 def read_state_file(path) -> PureState:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_state(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise StateFileError("parse", f"not UTF-8 text: {exc}") from exc
+    return parse_state(text)

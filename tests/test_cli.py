@@ -40,18 +40,24 @@ class TestCheck:
 
     def test_malformed_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{broken")
-        assert main(["check", str(path)]) == 1
-        assert "[parse]" in capsys.readouterr().err
+        # not JSON, not UTF-8, an integer literal over Python's 4300-digit limit
+        for data in (b"{broken", b'{"n_qubits": 3, "amplitudes": "\xff"}',
+                     b'{"n_qubits": 3, "amplitudes": [[1' + b"0" * 5000 + b", 0]]}"):
+            path.write_bytes(data)
+            assert main(["check", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error [parse]")
 
     def test_non_finite_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
-        path.write_text('{"n_qubits": 3, "amplitudes": [[NaN, 0]' + ', [0, 0]' * 7 + ']}')
-        assert main(["check", str(path)]) == 1
-        assert "[finite]" in capsys.readouterr().err
+        # NaN, and an integer amplitude beyond the double range
+        for first in ("NaN", "1" + "0" * 400):
+            path.write_text('{"n_qubits": 3, "amplitudes": [[' + first + ', 0]' + ', [0, 0]' * 7 + ']}')
+            assert main(["check", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error [finite]")
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.json")]) == 1
+        assert capsys.readouterr().err.startswith("error [io]")
 
     def test_too_small_state_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
@@ -278,6 +284,18 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert "error [config]" in captured.err and captured.out == ""
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["check", "fuzz", "reproduce-paper", "wclass-scan"])
+    def test_unwritable_out_exits_one(self, command, sat4_file, tmp_path, capsys):
+        argv = {
+            "check": ["check", str(sat4_file)],
+            "fuzz": ["fuzz", "--qubits", "3", "--count", "2", "--seed", "0"],
+            "reproduce-paper": ["reproduce-paper"],
+            "wclass-scan": ["wclass-scan", "--n", "3", "--count", "2", "--seed", "0"],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "missing" / "out.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [io]") and "Traceback" not in err
 
 
 class TestFuzzRegression:

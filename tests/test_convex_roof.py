@@ -293,3 +293,17 @@ def test_oracle_never_calls_the_closed_forms(monkeypatch):
     for dm, (cmin, cmax) in zip(cases, expected):
         assert convex_roof_optimize(dm, "minimize", seed=1)[0] == pytest.approx(cmin, abs=ORACLE_ATOL)
         assert convex_roof_optimize(dm, "maximize", seed=1)[0] == pytest.approx(cmax, abs=ORACLE_ATOL)
+
+
+def test_oracle_is_sweeps_only(monkeypatch):
+    # no quasi-Newton stage: the sweeps alone reach the closed forms
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called scipy.optimize.minimize")
+
+    monkeypatch.setattr(qmonogamy.convex_roof, "minimize", forbidden, raising=False)
+    rng = np.random.default_rng(78)
+    for rank in (2, 3, 4):
+        dm = random_two_qubit_mixed(rng, rank)
+        cmin, cmax = wootters_concurrence(dm), concurrence_of_assistance(dm)
+        assert convex_roof_optimize(dm, "minimize", seed=rank)[0] == pytest.approx(cmin, abs=ORACLE_ATOL)
+        assert convex_roof_optimize(dm, "maximize", seed=rank)[0] == pytest.approx(cmax, abs=ORACLE_ATOL)

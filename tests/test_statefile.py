@@ -52,7 +52,8 @@ def test_bad_norm_rejected():
     assert err.value.code == "normalization"
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity",
+                                 pytest.param("1" + "0" * 400, id="400-digit-int")])
 def test_non_finite_amplitude_rejected(bad):
     text = f'{{"n_qubits": 1, "amplitudes": [[1.0, 0.0], [{bad}, 0.0]]}}'
     with pytest.raises(StateFileError) as err:
@@ -60,15 +61,21 @@ def test_non_finite_amplitude_rejected(bad):
     assert err.value.code == "finite"
 
 
-def test_malformed_document_rejected():
+def test_malformed_document_rejected(tmp_path):
     for text in ("{not json", "[]", '{"n_qubits": 2}',
                  '{"n_qubits": "2", "amplitudes": []}',
                  '{"n_qubits": 1, "amplitudes": [[1.0], [0.0]]}',
                  '{"n_qubits": 1, "amplitudes": [[1.0, "x"], [0.0, 0.0]]}',
-                 '{"n_qubits": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}'):
+                 '{"n_qubits": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+                 '{"n_qubits": 1, "amplitudes": [[1' + "0" * 5000 + ', 0.0], [0.0, 0.0]]}'):
         with pytest.raises(StateFileError) as err:
             parse_state(text)
         assert err.value.code == "parse"
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"n_qubits": 1, "amplitudes": "\xe9"}'.encode("latin-1"))
+    with pytest.raises(StateFileError) as err:
+        read_state_file(path)
+    assert err.value.code == "parse"
 
 
 def test_norm_within_gate_renormalized():
