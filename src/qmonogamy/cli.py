@@ -15,7 +15,7 @@ import numpy as np
 
 from .cases import CHECK_TOLERANCE, builtin_cases
 from .concurrence import MarginalTable
-from .monogamy import DEFAULT_TOLERANCE, BoundReport, _report, _wclass_chain, _wclass_table, evaluate_all, wclass_state
+from .monogamy import DEFAULT_TOLERANCE, _entries, _wclass_chain, _wclass_table, evaluate_all, wclass_state
 from .statefile import StateFileError, read_state_file, write_state_file
 from .states import MAX_QUBITS, random_haar_state
 
@@ -33,10 +33,6 @@ def _entries_csv(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_json(report: BoundReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
-
-
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -51,23 +47,25 @@ def cmd_check(args) -> int:
         print("error [qubits]: bound checking needs at least 3 qubits", file=sys.stderr)
         return 1
     report = evaluate_all(state, tolerance=args.tolerance, state_id=str(args.state_file))
-    _emit(_entries_csv(report.entries) if args.format == "csv" else _report_json(report), args.out)
+    text = _entries_csv(report.entries) if args.format == "csv" else json.dumps(report.to_dict(), indent=2) + "\n"
+    _emit(text, args.out)
     return 0 if report.all_satisfied() else 2
 
 
 def cmd_fuzz(args) -> int:
     worst: dict = {}
-    violations = []
+    violations = 0
+    offenders = {}  # index -> (state, its first violated entry)
     for start in range(0, args.count, FUZZ_CHUNK):
         indices = range(start, min(start + FUZZ_CHUNK, args.count))
         table = MarginalTable(random_haar_state(args.qubits, np.random.default_rng([args.seed, i])) for i in indices)
         for index, row in zip(indices, table.rows):
-            report = _report(row, args.tolerance, f"fuzz-{args.seed}-{index}")
-            for e in report.entries:
+            for e in _entries(row, args.tolerance):
                 if e.inequality not in worst or e.slack < worst[e.inequality].slack:
                     worst[e.inequality] = e
                 if not e.satisfied:
-                    violations.append((index, row.state, e))
+                    violations += 1
+                    offenders.setdefault(index, (row.state, e))
 
     lines = [f"fuzz: n={args.qubits} count={args.count} seed={args.seed} tolerance={args.tolerance:g}"]
     lines.append(f"{'inequality':<28}{'min slack':>24}  satisfied")
@@ -87,14 +85,14 @@ def cmd_fuzz(args) -> int:
                 name: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
                 for name, e in worst.items()
             },
-            "violations": len(violations),
+            "violations": violations,
         }
         if args.out:
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
         sys.stdout.write(summary)
 
     if violations:
-        for index, state, entry in violations[:8]:
+        for index, (state, entry) in list(offenders.items())[:8]:
             path = f"violation-{args.seed}-{index}.json"
             write_state_file(state, path)
             print(

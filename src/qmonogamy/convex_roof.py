@@ -120,21 +120,17 @@ def _pair_unitaries(block: np.ndarray, mode: str) -> np.ndarray:
     return u
 
 
-def _sweep(v_stack, m_stack, tau, mode):
-    """One exact optimizing step per row pair of V, vectorized over restarts.
-
-    Keeps ``m_stack`` equal to ``V tau V^T`` for the updated ``v_stack``.
-    """
-    m = v_stack.shape[1]
-    for p in range(m):
-        for q in range(p + 1, m):
-            pair = [p, q]
-            v_stack[:, pair] = _pair_unitaries(m_stack[:, pair][:, :, pair], mode) @ v_stack[:, pair]
-            m_stack[...] = v_stack @ tau @ v_stack.swapaxes(1, 2)
+def _sweep(v, tau, mode):
+    """One exact optimizing step per row pair of V, vectorized over restarts."""
+    for p in range(v.shape[1]):
+        for q in range(p + 1, v.shape[1]):
+            w = v[:, [p, q]]
+            v[:, [p, q]] = _pair_unitaries(w @ tau @ w.swapaxes(1, 2), mode) @ w
 
 
-def _diag(m_stack) -> np.ndarray:
-    return np.einsum("...ii->...i", m_stack)
+def _diag(v, tau) -> np.ndarray:
+    """The diagonal of V tau V^T over a stack of isometries V (last axis)."""
+    return np.einsum("sir,rt,sit->si", v, tau, v)
 
 
 def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
@@ -158,18 +154,17 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
 
     tau = basis.T @ SPIN_FLIP_YY @ basis  # the tau of concurrence.lambda_spectra
 
-    v_stack = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)
-    m_stack = v_stack @ tau @ v_stack.swapaxes(1, 2)
-    score = _score(_diag(m_stack), mode)
+    v = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)
+    score = _score(_diag(v, tau), mode)
     for _ in range(MAX_SWEEPS):
-        _sweep(v_stack, m_stack, tau, mode)
-        gain = _score(_diag(m_stack), mode) - score
+        _sweep(v, tau, mode)
+        gain = _score(_diag(v, tau), mode) - score
         score += gain
         if np.max(gain) < STOP_GAIN:
             break
 
-    best = _score(_diag(m_stack), "maximize")
-    best_v = v_stack[np.argmax(best if mode == "maximize" else -best)]
+    best = _score(_diag(v, tau), "maximize")
+    best_v = v[np.argmax(best if mode == "maximize" else -best)]
 
     members = []
     for row in best_v:

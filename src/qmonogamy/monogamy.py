@@ -9,7 +9,7 @@ a negative lower bound carries no information beyond C^2 >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -215,22 +215,7 @@ class BoundReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "state_id": self.state_id,
-            "n_qubits": self.n_qubits,
-            "tolerance": self.tolerance,
-            "entries": [
-                {
-                    "inequality": e.inequality,
-                    "lhs": e.lhs,
-                    "rhs": e.rhs,
-                    "slack": e.slack,
-                    "satisfied": e.satisfied,
-                }
-                for e in self.entries
-            ],
-            "components": self.components,
-        }
+        return asdict(self)
 
 
 def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_id: str = "state") -> BoundReport:
@@ -242,20 +227,21 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     """
     if not 0 < tolerance < np.inf:
         raise ValueError("tolerance must be positive and finite")
-    return _report(_table(state, 3, "bound evaluation"), tolerance, state_id)
+    t = _table(state, 3, "bound evaluation")
+    n = t.n_qubits
+    components = {
+        f"{role_name(i)}-{role_name(j)}": {"concurrence_sq": t.csq(i, j), "assistance_sq": t.casq(i, j)}
+        for i in range(n) for j in range(i + 1, n)
+    }
+    return BoundReport(state_id, n, tolerance, _entries(t, tolerance), components)
 
 
-def _report(t: TableRow, tolerance: float, state_id: str) -> BoundReport:
+def _entries(t: TableRow, tolerance: float) -> tuple:
+    """The ``BoundEntry`` of every bound applicable at the row's size."""
     n = t.n_qubits
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    components = {
-        f"{role_name(i)}-{role_name(j)}": {
-            "concurrence_sq": t.csq(i, j),
-            "assistance_sq": t.casq(i, j),
-        }
-        for i, j in pairs
-    }
-
+    # the pair fill first: it keeps every pair purity, so no pair is traced twice
+    ab_lower = _ab_rest_lower(t)
     singles = {q: t.linear_entropy([q]) for q in range(n)}
     doubles = {(i, j): t.linear_entropy((i, j)) for i, j in pairs}
 
@@ -273,7 +259,7 @@ def _report(t: TableRow, tolerance: float, state_id: str) -> BoundReport:
         """Add the (lhs, rhs) with the least slack, the first pair on ties."""
         add(name, *min(sides, key=lambda side: side[1] - side[0]))
 
-    add("ab_rest_lower", _ab_rest_lower(t), mid_ab)
+    add("ab_rest_lower", ab_lower, mid_ab)
     add("ab_rest_upper", mid_ab, _ab_rest_upper(t))
     add("chain_lower", abs(a_sq - b_sq), mid_ab)
     add("chain_upper", mid_ab, a_sq + b_sq)
@@ -298,4 +284,4 @@ def _report(t: TableRow, tolerance: float, state_id: str) -> BoundReport:
         add_worst("wclass_lower", [(lower, mid) for lower, mid, _ in chains])
         add_worst("wclass_upper", [(mid, upper) for _, mid, upper in chains])
 
-    return BoundReport(state_id, n, tolerance, tuple(entries), components)
+    return tuple(entries)

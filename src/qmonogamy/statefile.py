@@ -45,12 +45,13 @@ def parse_state(text: str) -> PureState:
     if not isinstance(doc, dict) or "n_qubits" not in doc or "amplitudes" not in doc:
         raise StateFileError("parse", "document must be an object with n_qubits and amplitudes")
     n = doc["n_qubits"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_QUBITS:
+    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
         raise StateFileError("parse", f"n_qubits must be an integer in [1, {MAX_QUBITS}]")
     raw = doc["amplitudes"]
+    # json gives exact types, so an exact-type test also rejects booleans
     if not isinstance(raw, list) or any(
         not isinstance(pair, list) or len(pair) != 2
-        or any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in pair)
+        or type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float)
         for pair in raw
     ):
         raise StateFileError("parse", "amplitudes must be a list of [re, im] number pairs")

@@ -49,9 +49,6 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(tuple(range(self.n_qubits)), np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -95,6 +95,21 @@ class TestCheck:
         assert capsys.readouterr().err == ""
 
 
+def assert_first_eight_dumped(directory, capsys, seed, states, failing, inequality):
+    """The first eight failing states have one file and one stderr line each, naming ``inequality``."""
+    dumped = failing[:8]
+    assert sorted(p.name for p in directory.glob("violation-*")) == sorted(
+        f"violation-{seed}-{index}.json" for index in dumped)
+    for index in dumped:
+        reloaded = read_state_file(directory / f"violation-{seed}-{index}.json")
+        np.testing.assert_array_equal(reloaded.amplitudes, states[index].amplitudes)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(dumped)
+    for line, index in zip(err, dumped):
+        assert line.startswith(f"violation: {inequality} slack -")
+        assert line.endswith(f" on state {index}; dumped violation-{seed}-{index}.json")
+
+
 class TestFuzz:
     def test_small_run_exits_zero(self, capsys):
         assert main(["fuzz", "--qubits", "4", "--count", "10", "--seed", "7"]) == 0
@@ -128,6 +143,8 @@ class TestFuzz:
     @pytest.mark.parametrize("n", [3, 6])
     def test_one_fill_per_chunk(self, n, monkeypatch, table_work):
         monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", 7)
+        # fuzz folds bound entries and builds no report
+        monkeypatch.setattr(qmonogamy.monogamy, "BoundReport", None)
         assert main(["fuzz", "--qubits", str(n), "--count", "15", "--seed", "2"]) == 0
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert table_work.fills == [7, 7, 1]
@@ -176,17 +193,22 @@ class TestFuzz:
         assert main(["fuzz", "--qubits", "3", "--count", str(count), "--seed", str(seed),
                      "--out", "fuzz.json"]) == 2
         assert json.loads((tmp_path / "fuzz.json").read_text())["violations"] == len(failing)
-        dumped = failing[:8]
-        assert sorted(p.name for p in tmp_path.glob("violation-*")) == sorted(
-            f"violation-{seed}-{index}.json" for index in dumped)
-        for index in dumped:
-            reloaded = read_state_file(tmp_path / f"violation-{seed}-{index}.json")
-            np.testing.assert_array_equal(reloaded.amplitudes, states[index].amplitudes)
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == len(dumped)
-        for line, index in zip(err, dumped):
-            assert line.startswith("violation: ab_rest_upper slack -")
-            assert line.endswith(f" on state {index}; dumped violation-{seed}-{index}.json")
+        assert_first_eight_dumped(tmp_path, capsys, seed, states, failing, "ab_rest_upper")
+
+    def test_violations_dump_each_state_once(self, tmp_path, monkeypatch, capsys):
+        # a broken raw lower bound breaks its clamped twin too: two entries on each of ten states
+        seed, count, failing = 3, 14, [0, 2, 3, 5, 6, 7, 9, 11, 12, 13]
+        monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", 5)
+        states = [random_haar_state(4, np.random.default_rng([seed, index])) for index in range(count)]
+        broken = {states[index].amplitudes.tobytes() for index in failing}
+        hub = qmonogamy.monogamy._abc_rest_lower_hub
+        monkeypatch.setattr(qmonogamy.monogamy, "_abc_rest_lower_hub",
+                            lambda t: hub(t) + 10.0 * (t.state.amplitudes.tobytes() in broken))
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--qubits", "4", "--count", str(count), "--seed", str(seed),
+                     "--out", "fuzz.json"]) == 2
+        assert json.loads((tmp_path / "fuzz.json").read_text())["violations"] == 2 * len(failing)
+        assert_first_eight_dumped(tmp_path, capsys, seed, states, failing, "abc_rest_lower_hub")
 
 
 class TestReproducePaper:

@@ -67,6 +67,7 @@ def test_malformed_document_rejected(tmp_path):
                  '{"n_qubits": 1, "amplitudes": [[1.0], [0.0]]}',
                  '{"n_qubits": 1, "amplitudes": [[1.0, "x"], [0.0, 0.0]]}',
                  '{"n_qubits": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+                 '{"n_qubits": 1, "amplitudes": [[true, 0.0], [0.0, 0.0]]}',
                  '{"n_qubits": 1, "amplitudes": [[1' + "0" * 5000 + ', 0.0], [0.0, 0.0]]}'):
         with pytest.raises(StateFileError) as err:
             parse_state(text)
