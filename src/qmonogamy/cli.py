@@ -8,6 +8,7 @@ implementation bug rather than a counterexample).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -15,11 +16,11 @@ import numpy as np
 
 from .cases import CHECK_TOLERANCE, builtin_cases
 from .concurrence import MarginalTable
-from .monogamy import DEFAULT_TOLERANCE, _entries, _wclass_chain, _wclass_table, evaluate_all, wclass_state
+from .monogamy import DEFAULT_TOLERANCE, _entries, _wclass_chain, evaluate_all, wclass_state
 from .statefile import StateFileError, read_state_file, write_state_file
 from .states import MAX_QUBITS, random_haar_state
 
-FUZZ_CHUNK = 64  # states per table fill in ``fuzz``; no output depends on it
+CHUNK = 64  # states per table fill in ``fuzz`` and ``wclass-scan``; no output depends on it
 
 
 def _fmt(x: float) -> str:
@@ -31,6 +32,13 @@ def _entries_csv(entries) -> str:
     for e in entries:
         lines.append(f"{e.inequality},{_fmt(e.lhs)},{_fmt(e.rhs)},{_fmt(e.slack)},{str(e.satisfied).lower()}")
     return "\n".join(lines) + "\n"
+
+
+def _rows(states):
+    """Each state's ``TableRow``, in order, filling one ``MarginalTable`` per ``CHUNK`` states."""
+    states = iter(states)
+    while chunk := list(itertools.islice(states, CHUNK)):
+        yield from MarginalTable(chunk).rows
 
 
 def _emit(text: str, out: str | None):
@@ -56,16 +64,14 @@ def cmd_fuzz(args) -> int:
     worst: dict = {}
     violations = 0
     offenders = {}  # index -> (state, its first violated entry)
-    for start in range(0, args.count, FUZZ_CHUNK):
-        indices = range(start, min(start + FUZZ_CHUNK, args.count))
-        table = MarginalTable(random_haar_state(args.qubits, np.random.default_rng([args.seed, i])) for i in indices)
-        for index, row in zip(indices, table.rows):
-            for e in _entries(row, args.tolerance):
-                if e.inequality not in worst or e.slack < worst[e.inequality].slack:
-                    worst[e.inequality] = e
-                if not e.satisfied:
-                    violations += 1
-                    offenders.setdefault(index, (row.state, e))
+    states = (random_haar_state(args.qubits, np.random.default_rng([args.seed, i])) for i in range(args.count))
+    for index, row in enumerate(_rows(states)):
+        for e in _entries(row, args.tolerance):
+            if e.inequality not in worst or e.slack < worst[e.inequality].slack:
+                worst[e.inequality] = e
+            if not e.satisfied:
+                violations += 1
+                offenders.setdefault(index, (row.state, e))
 
     lines = [f"fuzz: n={args.qubits} count={args.count} seed={args.seed} tolerance={args.tolerance:g}"]
     lines.append(f"{'inequality':<28}{'min slack':>24}  satisfied")
@@ -129,15 +135,13 @@ def cmd_wclass_scan(args) -> int:
     rows = ["coefficients,pair,lower,mid,upper,gap_lower,gap_upper"]
     gaps_lower, gaps_upper = [], []
     bad = 0
-    for _ in range(args.count):
-        moduli_sq = rng.dirichlet(np.ones(n))
-        phases = rng.uniform(0.0, 2.0 * np.pi, n)
-        coeffs = np.sqrt(moduli_sq) * np.exp(1j * phases)
-        table = _wclass_table(wclass_state(coeffs))
+    draws = [(rng.dirichlet(np.ones(n)), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(args.count)]
+    samples = [np.sqrt(moduli_sq) * np.exp(1j * phases) for moduli_sq, phases in draws]
+    for coeffs, row in zip(samples, _rows(map(wclass_state, samples))):
         ctext = ";".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in coeffs)
         for i in range(n):
             for j in range(i + 1, n):
-                lower, mid, upper = _wclass_chain(table, i, j)
+                lower, mid, upper = _wclass_chain(row, i, j)
                 gaps_lower.append(mid - lower)
                 gaps_upper.append(upper - mid)
                 if mid - lower < -args.tolerance or upper - mid < -args.tolerance:
@@ -166,12 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="evaluate every applicable bound on a state file")
+    p.set_defaults(run=cmd_check)
     p.add_argument("state_file")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("fuzz", help="check the bounds on random states")
+    p.set_defaults(run=cmd_fuzz)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -180,9 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("reproduce-paper", help="recompute the bundled worked examples")
+    p.set_defaults(run=cmd_reproduce_paper)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("wclass-scan", help="scan random weight-1 states, emitting a CSV of bound chains")
+    p.set_defaults(run=cmd_wclass_scan)
     p.add_argument("--n", dest="qubits", metavar="N", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -190,14 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     return parser
-
-
-COMMANDS = {
-    "check": cmd_check,
-    "fuzz": cmd_fuzz,
-    "reproduce-paper": cmd_reproduce_paper,
-    "wclass-scan": cmd_wclass_scan,
-}
 
 
 def main(argv=None) -> int:
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
             raise ValueError(f"qubit count must be in [3, {MAX_QUBITS}]")
         if not 0 < getattr(args, "tolerance", DEFAULT_TOLERANCE) < np.inf:
             raise ValueError("tolerance must be positive and finite")
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 1

@@ -144,7 +144,7 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
         raise ValueError(f"mode must be 'minimize' or 'maximize', got {mode!r}")
     if dm.n_qubits != 2:
         raise ValueError(f"convex roof optimization is for 2-qubit states, got {dm.n_qubits}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     basis = _cleaned_root(dm.matrix)  # columns sqrt(mu_j)|e_j> on the support
     if basis.shape[1] == 1:

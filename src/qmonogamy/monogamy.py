@@ -27,17 +27,19 @@ def _table(state: PureState, minimum: int, what: str) -> TableRow:
     return MarginalTable([state]).rows[0]
 
 
-def _ab_rest_lower(t: TableRow) -> float:
-    cs = range(2, t.n_qubits)
-    sum_a = sum(t.csq(0, c) - t.casq(1, c) for c in cs)
-    sum_b = sum(t.csq(1, c) - t.casq(0, c) for c in cs)
+def _ab_rest_lower(t: TableRow, a: int = 0, b: int = 1, ca_sq=TableRow.casq) -> float:
+    """The AB|rest lower bound with qubits ``a`` and ``b`` as A and B, reading C_a^2 with ``ca_sq``."""
+    cs = [c for c in range(t.n_qubits) if c not in (a, b)]
+    sum_a = sum(t.csq(a, c) - ca_sq(t, b, c) for c in cs)
+    sum_b = sum(t.csq(b, c) - ca_sq(t, a, c) for c in cs)
     return float(max(sum_a, sum_b))
 
 
-def _ab_rest_upper(t: TableRow) -> float:
-    cs = range(2, t.n_qubits)
-    total = 2.0 * t.casq(0, 1)
-    total += sum(t.casq(0, c) + t.casq(1, c) for c in cs)
+def _ab_rest_upper(t: TableRow, a: int = 0, b: int = 1, ca_sq=TableRow.casq) -> float:
+    """The AB|rest upper bound with qubits ``a`` and ``b`` as A and B, reading C_a^2 with ``ca_sq``."""
+    cs = [c for c in range(t.n_qubits) if c not in (a, b)]
+    total = 2.0 * ca_sq(t, a, b)
+    total += sum(ca_sq(t, a, c) + ca_sq(t, b, c) for c in cs)
     return float(total)
 
 
@@ -155,31 +157,24 @@ def is_weight1_supported(state: PureState) -> bool:
     return bool(np.max(np.abs(off), initial=0.0) <= WEIGHT1_SUPPORT_ATOL)
 
 
-def _wclass_table(state: PureState) -> TableRow:
-    if not is_weight1_supported(state):
-        raise ValueError("state is not supported on Hamming-weight-1 basis labels")
-    return MarginalTable([state]).rows[0]
-
-
 def _wclass_chain(t: TableRow, i: int, j: int):
-    others = [k for k in range(t.n_qubits) if k not in (i, j)]
-    lower = abs(sum(t.csq(i, k) - t.csq(j, k) for k in others))
-    mid = t.cut_sq([i, j])
-    upper = 2.0 * t.csq(i, j) + sum(t.csq(i, k) + t.csq(j, k) for k in others)
-    return float(lower), float(mid), float(upper)
+    """The AB|rest bounds around C^2(A_i A_j | rest), with C^2 read for C_a^2."""
+    return _ab_rest_lower(t, i, j, TableRow.csq), t.cut_sq([i, j]), _ab_rest_upper(t, i, j, TableRow.csq)
 
 
 def wclass_bounds(state: PureState, i: int, j: int):
     """Two-sided bound chain (lower, mid, upper) on C^2(A_i A_j | rest).
 
-    Only valid on weight-1-supported states, where every two-qubit marginal
-    has equal concurrence and assistance, so the general bounds collapse to
-    pairwise concurrences alone.
+    The AB|rest bounds with qubits i and j as A and B, valid on weight-1-supported
+    states only: there every two-qubit marginal has C_a = C, so the bounds are
+    sums of pair concurrences, and the lower one is |sum_k C^2_ik - C^2_jk|.
     """
     n = state.n_qubits
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
-    return _wclass_chain(_wclass_table(state), i, j)
+    if not is_weight1_supported(state):
+        raise ValueError("state is not supported on Hamming-weight-1 basis labels")
+    return _wclass_chain(MarginalTable([state]).rows[0], i, j)
 
 
 def role_name(q: int) -> str:

@@ -189,6 +189,6 @@ def random_haar_state(n: int, seed) -> PureState:
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, z / np.linalg.norm(z))

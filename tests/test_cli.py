@@ -9,8 +9,8 @@ import qmonogamy.monogamy
 
 from qmonogamy import (PureState, evaluate_all, random_haar_state, read_state_file, state_from_basis_terms,
                        write_state_file)
-from qmonogamy.cli import FUZZ_CHUNK as DEFAULT_CHUNK, main
-from qmonogamy.monogamy import BoundEntry, BoundReport
+from qmonogamy.cli import CHUNK as DEFAULT_CHUNK, main
+from qmonogamy.monogamy import BoundEntry, BoundReport, wclass_state
 
 
 @pytest.fixture
@@ -110,7 +110,32 @@ def assert_first_eight_dumped(directory, capsys, seed, states, failing, inequali
         assert line.endswith(f" on state {index}; dumped violation-{seed}-{index}.json")
 
 
-class TestFuzz:
+class OneFillPerChunk:
+    """The table work of a command that fills one ``MarginalTable`` per ``CHUNK`` states."""
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_one_fill_per_chunk(self, n, monkeypatch, table_work):
+        monkeypatch.setattr(qmonogamy.cli, "CHUNK", 7)
+        # neither command builds a report
+        monkeypatch.setattr(qmonogamy.monogamy, "BoundReport", None)
+        assert main(self.argv(n) + ["--count", "15", "--seed", "2"]) == 0
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert table_work.fills == [7, 7, 1]
+        assert [[stack.shape for stack in calls] for calls in table_work.spectra] == [
+            [(size, len(pairs), 4, 4)] for size in (7, 7, 1)]
+        assert table_work.marginals == [Counter(dict.fromkeys(pairs + self.cuts(n), 1))] * 3
+
+
+class TestFuzz(OneFillPerChunk):
+    @staticmethod
+    def argv(n):
+        return ["fuzz", "--qubits", str(n)]
+
+    @staticmethod
+    def cuts(n):
+        """Every single qubit, and ABC1 once it is the smaller side."""
+        return [(q,) for q in range(n)] + [(0, 1, 2)] * (n >= 6)
+
     def test_small_run_exits_zero(self, capsys):
         assert main(["fuzz", "--qubits", "4", "--count", "10", "--seed", "7"]) == 0
         out = capsys.readouterr().out
@@ -140,27 +165,13 @@ class TestFuzz:
         assert main(["fuzz", "--qubits", "2", "--count", "5", "--seed", "1"]) == 1
         assert main(["fuzz", "--qubits", "4", "--count", "0", "--seed", "1"]) == 1
 
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_one_fill_per_chunk(self, n, monkeypatch, table_work):
-        monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", 7)
-        # fuzz folds bound entries and builds no report
-        monkeypatch.setattr(qmonogamy.monogamy, "BoundReport", None)
-        assert main(["fuzz", "--qubits", str(n), "--count", "15", "--seed", "2"]) == 0
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert table_work.fills == [7, 7, 1]
-        assert [[stack.shape for stack in calls] for calls in table_work.spectra] == [
-            [(size, len(pairs), 4, 4)] for size in (7, 7, 1)]
-        for marginals in table_work.marginals:
-            assert set(marginals.values()) == {1}
-            assert len(marginals) == len(pairs) + n + (n >= 6)
-
     @pytest.mark.parametrize("n", [3, 5])
     def test_output_does_not_depend_on_the_chunk(self, n, tmp_path, monkeypatch, capsys):
         seed = 4
         for count in (3, 15, 2 * DEFAULT_CHUNK + 1):  # 2 * chunk + 1 for chunks 1, 7 and the default
             outputs = set()
             for chunk in (1, 7, DEFAULT_CHUNK):
-                monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", chunk)
+                monkeypatch.setattr(qmonogamy.cli, "CHUNK", chunk)
                 argv = ["fuzz", "--qubits", str(n), "--count", str(count), "--seed", str(seed)]
                 assert main(argv + ["--out", str(tmp_path / "fuzz.json")]) == 0
                 assert main(argv + ["--format", "csv", "--out", str(tmp_path / "fuzz.csv")]) == 0
@@ -183,7 +194,7 @@ class TestFuzz:
     def test_violations_dump_the_first_eight_states(self, tmp_path, monkeypatch, capsys):
         # a broken upper bound on nine states, six of them past the first chunk of 4
         seed, count, failing = 5, 16, [1, 2, 5, 6, 9, 10, 11, 13, 14]
-        monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", 4)
+        monkeypatch.setattr(qmonogamy.cli, "CHUNK", 4)
         states = [random_haar_state(3, np.random.default_rng([seed, index])) for index in range(count)]
         broken = {states[index].amplitudes.tobytes() for index in failing}
         upper = qmonogamy.monogamy._ab_rest_upper
@@ -198,7 +209,7 @@ class TestFuzz:
     def test_violations_dump_each_state_once(self, tmp_path, monkeypatch, capsys):
         # a broken raw lower bound breaks its clamped twin too: two entries on each of ten states
         seed, count, failing = 3, 14, [0, 2, 3, 5, 6, 7, 9, 11, 12, 13]
-        monkeypatch.setattr(qmonogamy.cli, "FUZZ_CHUNK", 5)
+        monkeypatch.setattr(qmonogamy.cli, "CHUNK", 5)
         states = [random_haar_state(4, np.random.default_rng([seed, index])) for index in range(count)]
         broken = {states[index].amplitudes.tobytes() for index in failing}
         hub = qmonogamy.monogamy._abc_rest_lower_hub
@@ -235,7 +246,16 @@ class TestReproducePaper:
             assert row["tolerance"] == 1e-9
 
 
-class TestWclassScan:
+class TestWclassScan(OneFillPerChunk):
+    @staticmethod
+    def argv(n):
+        return ["wclass-scan", "--n", str(n)]
+
+    @staticmethod
+    def cuts(n):
+        """C^2(A_i A_j|rest) reuses the pair's marginal once the pair is the smaller side."""
+        return [(q,) for q in range(n)] if n == 3 else []
+
     def test_scan_rows_and_chain(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["wclass-scan", "--n", "5", "--count", "3", "--seed", "11",
@@ -267,17 +287,35 @@ class TestWclassScan:
     def test_bad_config_exits_one(self):
         assert main(["wclass-scan", "--n", "2", "--count", "1", "--seed", "0"]) == 1
 
-    @pytest.mark.parametrize("n", [3, 6, 10])
-    def test_one_table_per_state(self, n, tmp_path, table_work):
-        count = 2
-        assert main(["wclass-scan", "--n", str(n), "--count", str(count), "--seed", "3",
-                     "--out", str(tmp_path / "scan.csv")]) == 0
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert table_work.fills == [1] * count
-        assert [[stack.shape for stack in calls] for calls in table_work.spectra] == [[(1, len(pairs), 4, 4)]] * count
-        # C^2(A_i A_j|rest) reuses the pair's marginal once the pair is the smaller side
-        singles = [(q,) for q in range(n)] if n == 3 else []
-        assert table_work.marginals == [Counter({key: 1 for key in pairs + singles})] * count
+    def test_violations_exit_two_and_keep_every_row(self, tmp_path, monkeypatch, capsys):
+        # a broken upper side on four of ten states, two on each side of the chunk boundary at 4
+        seed, count, failing = 6, 10, [2, 3, 4, 5]
+        argv = ["wclass-scan", "--n", "3", "--count", str(count), "--seed", str(seed)]
+        assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
+        rng = np.random.default_rng(seed)
+        states = [wclass_state(np.sqrt(rng.dirichlet(np.ones(3))) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3)))
+                  for _ in range(count)]
+        broken = {states[index].amplitudes.tobytes() for index in failing}
+        chain = qmonogamy.cli._wclass_chain
+
+        def broken_chain(t, i, j):
+            lower, mid, upper = chain(t, i, j)
+            return lower, mid, -1.0 if t.state.amplitudes.tobytes() in broken else upper
+
+        monkeypatch.setattr(qmonogamy.cli, "CHUNK", 4)
+        monkeypatch.setattr(qmonogamy.cli, "_wclass_chain", broken_chain)
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "scan.csv")]) == 2
+        assert capsys.readouterr().err == f"{3 * len(failing)} rows violate the two-sided bound\n"
+        clean = (tmp_path / "clean.csv").read_text().splitlines()
+        lines = (tmp_path / "scan.csv").read_text().splitlines()
+        assert len(lines) == len(clean) == 1 + 3 * count
+        for row, (line, clean_line) in enumerate(zip(lines[1:], clean[1:])):
+            if row // 3 in failing:
+                assert line.split(",")[:4] == clean_line.split(",")[:4]
+                assert line.split(",")[4] == "-1"
+            else:
+                assert line == clean_line
 
 
 class TestExitCodeContract:

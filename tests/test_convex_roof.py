@@ -7,6 +7,7 @@ import qmonogamy.concurrence
 import qmonogamy.convex_roof
 from qmonogamy import (
     DensityMatrix,
+    EnsembleDecomposition,
     concurrence_of_assistance,
     convex_roof_optimize,
     partial_trace,
@@ -106,6 +107,18 @@ def test_rank_three_separable_mixtures_minimize_to_zero(real):
             value, decomposition = convex_roof_optimize(dm, "minimize", seed=seed)
             assert value == pytest.approx(0.0, abs=ORACLE_ATOL)
             assert decomposition.reconstruction_error(dm) < 1e-8
+
+
+@pytest.mark.parametrize("probs, match", [
+    ((), r"\(0, 1\]"),
+    ((1.0, 0.0), r"\(0, 1\]"),
+    ((1.5, -0.5), r"\(0, 1\]"),
+    ((0.5, 0.4), "sum to"),
+])
+def test_decomposition_probabilities_validated(probs, match):
+    psi = state_from_basis_terms(2, [("00", 1)])
+    with pytest.raises(ValueError, match=match):
+        EnsembleDecomposition((0, 1), tuple((p, psi) for p in probs))
 
 
 def test_mode_validated():

@@ -218,6 +218,10 @@ class TestWclassStates:
         with pytest.raises(ValueError, match="at least 3"):
             wclass_state([1, 0])
 
+    def test_too_many_rejected(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS}"):
+            wclass_state([1] + [0] * MAX_QUBITS)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -316,6 +320,10 @@ class TestEvaluateAll:
         assert doc["n_qubits"] == 4
         entry = doc["entries"][0]
         assert set(entry) == {"inequality", "lhs", "rhs", "slack", "satisfied"}
+
+    def test_unknown_entry_raises_key_error(self):
+        with pytest.raises(KeyError, match="no_such_bound"):
+            evaluate_all(SAT4).entry("no_such_bound")
 
     def test_bad_tolerance_rejected(self):
         for tolerance in (0.0, -1.0, float("nan"), float("inf")):

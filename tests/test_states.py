@@ -74,6 +74,11 @@ class TestPureStateInvariants:
         with pytest.raises(ValueError):
             state_from_basis_terms(13, [("0" * 13, 1)])
 
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_qubit_count_out_of_range_rejected(self, n):
+        with pytest.raises(ValueError, match="n_qubits must be in"):
+            PureState(n, np.ones(1))
+
     def test_amplitudes_read_only(self):
         state = state_from_basis_terms(1, [("0", 1)])
         with pytest.raises(ValueError):
@@ -84,6 +89,15 @@ class TestDensityMatrixInvariants:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix((0,), np.diag([1.0, np.nan]).astype(complex))
+
+    @pytest.mark.parametrize("labels", [(), (0, 0)])
+    def test_empty_or_duplicate_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            DensityMatrix(labels, np.eye(2, dtype=complex) / 2)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            DensityMatrix((0, 1), np.eye(2, dtype=complex) / 2)
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
@@ -114,6 +128,10 @@ class TestPartition:
         with pytest.raises(ValueError, match="non-empty"):
             Partition(frozenset(), frozenset({0}))
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Partition(frozenset({-1}), frozenset({0}))
+
 
 class TestPartialTrace:
     def test_bell_marginal_maximally_mixed(self):
@@ -143,6 +161,20 @@ class TestPartialTrace:
         bell = state_from_basis_terms(2, [("00", 1), ("11", 1)])
         with pytest.raises(ValueError, match="unknown"):
             partial_trace(bell, [5])
+
+    def test_duplicate_keep_rejected(self):
+        bell = state_from_basis_terms(2, [("00", 1), ("11", 1)])
+        with pytest.raises(ValueError, match="duplicates"):
+            partial_trace(bell, [0, 0])
+
+    def test_unknown_label_on_density_matrix_rejected(self):
+        ghz = state_from_basis_terms(3, [("000", 1), ("111", 1)])
+        with pytest.raises(ValueError, match="unknown"):
+            partial_trace(partial_trace(ghz, [0, 2]), [1])
+
+    def test_wrong_input_type_rejected(self):
+        with pytest.raises(TypeError, match="expected PureState or DensityMatrix, got ndarray"):
+            partial_trace(np.eye(2) / 2, [0])
 
     def test_density_matrix_input(self):
         ghz = state_from_basis_terms(3, [("000", 1), ("111", 1)])
