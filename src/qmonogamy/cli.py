@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .cases import CHECK_TOLERANCE, builtin_cases
-from .concurrence import MarginalTable
-from .monogamy import DEFAULT_TOLERANCE, _entries, _wclass_chain, evaluate_all, wclass_state
+from .concurrence import MarginalTable, pair_index
+from .monogamy import DEFAULT_TOLERANCE, _entries, _entry, _wclass_chain, evaluate_all, wclass_state
 from .statefile import StateFileError, read_state_file, write_state_file
 from .states import MAX_QUBITS, random_haar_state
 
@@ -34,11 +34,11 @@ def _entries_csv(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows(states):
-    """Each state's ``TableRow``, in order, filling one ``MarginalTable`` per ``CHUNK`` states."""
+def _tables(states):
+    """One ``MarginalTable`` per ``CHUNK`` states, in order."""
     states = iter(states)
     while chunk := list(itertools.islice(states, CHUNK)):
-        yield from MarginalTable(chunk).rows
+        yield MarginalTable(chunk)
 
 
 def _emit(text: str, out: str | None):
@@ -63,15 +63,20 @@ def cmd_check(args) -> int:
 def cmd_fuzz(args) -> int:
     worst: dict = {}
     violations = 0
-    offenders = {}  # index -> (state, its first violated entry)
+    offenders = {}  # index -> (state, its first violated entry's name and slack)
     states = (random_haar_state(args.qubits, np.random.default_rng([args.seed, i])) for i in range(args.count))
-    for index, row in enumerate(_rows(states)):
-        for e in _entries(row, args.tolerance):
-            if e.inequality not in worst or e.slack < worst[e.inequality].slack:
-                worst[e.inequality] = e
-            if not e.satisfied:
-                violations += 1
-                offenders.setdefault(index, (row.state, e))
+    start = 0
+    for table in _tables(states):
+        for name, (rows, lhs, rhs) in _entries(table).items():
+            slack = rhs - lhs
+            k = np.argmin(slack)  # the first state on ties, as the running minimum keeps the earlier one
+            if name not in worst or slack[k] < worst[name].slack:
+                worst[name] = _entry(name, lhs[k], rhs[k], args.tolerance)
+            bad = ~(slack >= -args.tolerance)
+            violations += int(np.count_nonzero(bad))
+            for row, value in zip(rows[bad].tolist(), slack[bad].tolist()):
+                offenders.setdefault(start + row, (table.states[row], name, value))
+        start += len(table.states)
 
     lines = [f"fuzz: n={args.qubits} count={args.count} seed={args.seed} tolerance={args.tolerance:g}"]
     lines.append(f"{'inequality':<28}{'min slack':>24}  satisfied")
@@ -98,11 +103,11 @@ def cmd_fuzz(args) -> int:
         sys.stdout.write(summary)
 
     if violations:
-        for index, (state, entry) in list(offenders.items())[:8]:
+        for index, (state, name, slack) in sorted(offenders.items())[:8]:
             path = f"violation-{args.seed}-{index}.json"
             write_state_file(state, path)
             print(
-                f"violation: {entry.inequality} slack {entry.slack:.3e} on state {index}; dumped {path}",
+                f"violation: {name} slack {slack:.3e} on state {index}; dumped {path}",
                 file=sys.stderr,
             )
         return 2
@@ -132,29 +137,22 @@ def cmd_reproduce_paper(args) -> int:
 def cmd_wclass_scan(args) -> int:
     rng = np.random.default_rng(args.seed)
     n = args.qubits
-    rows = ["coefficients,pair,lower,mid,upper,gap_lower,gap_upper"]
-    gaps_lower, gaps_upper = [], []
-    bad = 0
     draws = [(rng.dirichlet(np.ones(n)), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(args.count)]
     samples = [np.sqrt(moduli_sq) * np.exp(1j * phases) for moduli_sq, phases in draws]
-    for coeffs, row in zip(samples, _rows(map(wclass_state, samples))):
+    # (count, P) arrays over the pairs i < j of every sample
+    lower, mid, upper = map(np.concatenate, zip(*map(_wclass_chain, _tables(map(wclass_state, samples)))))
+    gaps_lower, gaps_upper = mid - lower, upper - mid
+    bad = np.count_nonzero((gaps_lower < -args.tolerance) | (gaps_upper < -args.tolerance))
+    rows = ["coefficients,pair,lower,mid,upper,gap_lower,gap_upper"]
+    labels = [f"{i + 1}-{j + 1}" for i, j in pair_index(n)[0]]
+    for coeffs, *chain in zip(samples, *(side.tolist() for side in (lower, mid, upper, gaps_lower, gaps_upper))):
         ctext = ";".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in coeffs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                lower, mid, upper = _wclass_chain(row, i, j)
-                gaps_lower.append(mid - lower)
-                gaps_upper.append(upper - mid)
-                if mid - lower < -args.tolerance or upper - mid < -args.tolerance:
-                    bad += 1
-                rows.append(
-                    f"{ctext},{i + 1}-{j + 1},{_fmt(lower)},{_fmt(mid)},{_fmt(upper)},"
-                    f"{_fmt(mid - lower)},{_fmt(upper - mid)}"
-                )
+        rows.extend(f"{ctext},{label}," + ",".join(map(_fmt, values)) for label, *values in zip(labels, *chain))
     _emit("\n".join(rows) + "\n", args.out)
     if args.out:
-        lines = [f"n={n} count={args.count} pairs={len(gaps_lower)}"]
-        for side, gaps in (("lower", gaps_lower), ("upper", gaps_upper)):
-            lines.append(f"{side} gap: min {min(gaps):.3e}  mean {np.mean(gaps):.3e}  max {max(gaps):.3e}")
+        lines = [f"n={n} count={args.count} pairs={gaps_lower.size}"]
+        for side, gaps in (("lower", gaps_lower.ravel()), ("upper", gaps_upper.ravel())):
+            lines.append(f"{side} gap: min {gaps.min():.3e}  mean {np.mean(gaps):.3e}  max {gaps.max():.3e}")
         sys.stdout.write("\n".join(lines) + "\n")
     if bad:
         print(f"{bad} rows violate the two-sided bound", file=sys.stderr)

@@ -10,7 +10,7 @@ values of the symmetric ``tau_jk = sqrt(mu_j mu_k) <e_j*|YY|e_k>`` on rho's supp
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -76,40 +76,52 @@ def concurrence_of_assistance(dm: DensityMatrix) -> float:
     return float(_assistance(lambda_spectrum(dm)))
 
 
+@cache
+def pair_index(n: int) -> tuple:
+    """The pairs i < j of ``n`` qubits in order: a tuple of ``(i, j)``, and its two index arrays."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    i, j = np.array(pairs).T
+    i.flags.writeable = j.flags.writeable = False
+    return pairs, i, j
+
+
 def _check_floor(eigenvalues: np.ndarray):
     if eigenvalues.min() < PSD_FLOOR:
         raise ValueError(f"marginal has eigenvalue {eigenvalues.min()} below the PSD noise floor")
 
 
 class MarginalTable:
-    """The marginals of a stack of pure states and the squared concurrences they give.
+    """The marginals of a stack of B pure states and the squared concurrences they give.
 
     Each marginal is traced on first use, once for the stack, and checked as a
-    ``DensityMatrix`` is (trace, PSD floor); the first pair entry asked for fills
-    every pair, with one ``lambda_spectra`` call.  ``rows[b]`` is what the bound
-    arithmetic reads of state b, which does not depend on the rest of the stack.
+    ``DensityMatrix`` is (trace, PSD floor).  ``pair_sq`` fills every pair with
+    one ``lambda_spectra`` call.  Every value of state b is what a stack of that
+    state alone gives, bit for bit.
     """
 
     def __init__(self, states):
         self.states = list(states)
-        n = self.n_qubits = self.states[0].n_qubits
-        self._tensor = np.stack([s.amplitudes for s in self.states]).reshape((-1,) + (2,) * n)
+        self.n_qubits = self.states[0].n_qubits
+        self.amplitudes = np.stack([s.amplitudes for s in self.states])  # (B, 2^n)
         self._purities = {}
-        self.rows = [TableRow(self, b) for b in range(len(self.states))]
 
     @cached_property
-    def pairs(self) -> list:
-        """Per state, ``{(i, j): (C^2, C_a^2)}`` over all pairs i < j."""
-        pairs = [(i, j) for i in range(self.n_qubits) for j in range(i + 1, self.n_qubits)]
+    def pair_sq(self) -> tuple:
+        """(C^2, C_a^2) of every pair: two symmetric (B, n, n) arrays with zero diagonals."""
+        n = self.n_qubits
+        pairs, i, j = pair_index(n)
         w, l = lambda_spectra(np.stack([self._marginal(pair) for pair in pairs], axis=1))
         _check_floor(w)
-        csq, casq = _wootters(l).tolist(), _assistance(l).tolist()
-        return [{p: (c**2, a**2) for p, c, a in zip(pairs, cs, As)} for cs, As in zip(csq, casq)]
+        sq = np.zeros((2, len(self.states), n, n))
+        # float_power is the C library's pow, as Python's float ** is; the ** of arrays multiplies
+        sq[:, :, i, j] = sq[:, :, j, i] = np.float_power([_wootters(l), _assistance(l)], 2)
+        return sq[0], sq[1]
 
     def _marginal(self, keep: tuple) -> np.ndarray:
         """Reduced matrices of the qubits ``keep`` over the stack; stores their purities."""
         order = [0] + [1 + q for q in keep] + [1 + q for q in range(self.n_qubits) if q not in keep]
-        m = self._tensor.transpose(order).reshape(len(self.states), 2 ** len(keep), -1)
+        tensor = self.amplitudes.reshape((-1,) + (2,) * self.n_qubits)
+        m = tensor.transpose(order).reshape(len(self.states), 2 ** len(keep), -1)
         rho = m @ m.conj().swapaxes(-1, -2)
         rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
         off = float(abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max())
@@ -117,36 +129,26 @@ class MarginalTable:
             raise ValueError(f"marginal trace deviates from 1 by {off}, beyond tolerance")
         flat = rho.reshape(len(m), 1, -1)
         # a row-times-column matmul gives np.vdot's purity bit for bit; einsum does not
-        self._purities[keep] = (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real.tolist()
+        self._purities[keep] = (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real
         return rho
 
+    def linear_entropies(self, subsets) -> np.ndarray:
+        """1 - Tr rho^2 of each subset's marginal, as ``states.linear_entropy`` gives it: (B, len(subsets))."""
+        keys = [tuple(sorted(qubits)) for qubits in subsets]
+        for key in keys:
+            if key not in self._purities:
+                _check_floor(np.linalg.eigvalsh(self._marginal(key)))
+        return np.maximum(0.0, 1.0 - np.array([self._purities[key] for key in keys]).T)
 
-class TableRow:
-    """The entries of state ``b`` of a ``MarginalTable``."""
-
-    def __init__(self, table: MarginalTable, b: int):
-        self.table, self.b, self.n_qubits, self.state = table, b, table.n_qubits, table.states[b]
-
-    def csq(self, i: int, j: int) -> float:
-        return self.table.pairs[self.b][(i, j) if i < j else (j, i)][0]
-
-    def casq(self, i: int, j: int) -> float:
-        return self.table.pairs[self.b][(i, j) if i < j else (j, i)][1]
-
-    def linear_entropy(self, qubits) -> float:
-        """1 - Tr rho^2 of the marginal of ``qubits``, as ``states.linear_entropy`` gives it."""
-        key = tuple(sorted(qubits))
-        if key not in self.table._purities:
-            _check_floor(np.linalg.eigvalsh(self.table._marginal(key)))
-        return max(0.0, 1.0 - self.table._purities[key][self.b])
-
-    def cut_sq(self, left) -> float:
-        """Squared concurrence of ``left`` versus the rest, reduced over the smaller side."""
-        left, everything = frozenset(left), frozenset(range(self.n_qubits))
-        if not left or not left < everything:
-            raise ValueError(f"left must be a non-empty proper subset of the {self.n_qubits} qubits")
-        right = everything - left
-        return 2.0 * self.linear_entropy(left if len(left) <= len(right) else right)
+    def cut_sq(self, *lefts) -> np.ndarray:
+        """Squared concurrence of each ``left`` versus the rest, reduced over the smaller side: (B, len(lefts))."""
+        everything, sides = frozenset(range(self.n_qubits)), []
+        for left in map(frozenset, lefts):
+            if not left or not left < everything:
+                raise ValueError(f"left must be a non-empty proper subset of the {self.n_qubits} qubits")
+            right = everything - left
+            sides.append(left if len(left) <= len(right) else right)
+        return 2.0 * self.linear_entropies(sides)
 
 
 def concurrence_pure(state: PureState, partition: Partition) -> float:
@@ -162,7 +164,7 @@ def concurrence_pure(state: PureState, partition: Partition) -> float:
 
 def pure_concurrence_sq(state: PureState, left) -> float:
     """Squared concurrence of ``left`` versus the remaining qubits."""
-    return MarginalTable([state]).rows[0].cut_sq(left)
+    return float(MarginalTable([state]).cut_sq(left)[0, 0])
 
 
 def three_tangle(state: PureState, focus: int) -> float:
@@ -174,9 +176,9 @@ def three_tangle(state: PureState, focus: int) -> float:
         raise ValueError(f"three-tangle is defined for 3 qubits, got {state.n_qubits}")
     if focus not in (0, 1, 2):
         raise ValueError(f"focus must be a qubit index in 0..2, got {focus}")
-    table = MarginalTable([state]).rows[0]
-    total = table.cut_sq([focus])
+    table = MarginalTable([state])
+    total = float(table.cut_sq([focus])[0, 0])
     for other in range(3):
         if other != focus:
-            total -= table.csq(focus, other)
-    return float(total)
+            total -= float(table.pair_sq[0][0, focus, other])
+    return total

@@ -10,10 +10,11 @@ a negative lower bound carries no information beyond C^2 >= 0.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .concurrence import MarginalTable, TableRow
+from .concurrence import MarginalTable, pair_index
 from .states import MAX_QUBITS, PureState
 
 WEIGHT1_SUPPORT_ATOL = 1e-12
@@ -21,48 +22,52 @@ DEFAULT_TOLERANCE = 1e-7
 TRIANGLE_DEGENERATE_EPS = 1e-12
 
 
-def _table(state: PureState, minimum: int, what: str) -> TableRow:
+def _table(state: PureState, minimum: int, what: str) -> MarginalTable:
     if state.n_qubits < minimum:
         raise ValueError(f"{what} needs at least {minimum} qubits, got {state.n_qubits}")
-    return MarginalTable([state]).rows[0]
+    return MarginalTable([state])
 
 
-def _ab_rest_lower(t: TableRow, a: int = 0, b: int = 1, ca_sq=TableRow.casq) -> float:
-    """The AB|rest lower bound with qubits ``a`` and ``b`` as A and B, reading C_a^2 with ``ca_sq``."""
-    cs = [c for c in range(t.n_qubits) if c not in (a, b)]
-    sum_a = sum(t.csq(a, c) - ca_sq(t, b, c) for c in cs)
-    sum_b = sum(t.csq(b, c) - ca_sq(t, a, c) for c in cs)
-    return float(max(sum_a, sum_b))
+def _sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from left to right, as Python's ``sum`` adds (``np.sum`` pairs terms)."""
+    return terms.cumsum(axis=-1)[..., -1]
 
 
-def _ab_rest_upper(t: TableRow, a: int = 0, b: int = 1, ca_sq=TableRow.casq) -> float:
-    """The AB|rest upper bound with qubits ``a`` and ``b`` as A and B, reading C_a^2 with ``ca_sq``."""
-    cs = [c for c in range(t.n_qubits) if c not in (a, b)]
-    total = 2.0 * ca_sq(t, a, b)
-    total += sum(ca_sq(t, a, c) + ca_sq(t, b, c) for c in cs)
-    return float(total)
+@cache
+def _rest(n: int) -> np.ndarray:
+    """The (n, n, n) mask that is True at (a, b, c) when c is neither a nor b."""
+    c = np.arange(n)
+    rest = (c != c[:, None, None]) & (c != c[:, None])
+    rest.flags.writeable = False
+    return rest
 
 
-def _c1_assistance(t: TableRow) -> float:
-    """C1's assistance total: C_a^2 of C1 with every other qubit."""
-    return sum(t.casq(2, j) for j in [0, 1] + list(range(3, t.n_qubits)))
+def _sum_rest(terms: np.ndarray) -> np.ndarray:
+    """``_sum`` of (..., n, n, n) terms at (a, b, c) over the c other than a and b, those read as +0.0."""
+    return _sum(np.where(_rest(terms.shape[-1]), terms, 0.0))
 
 
-def _abc_rest_lower_diff(t: TableRow) -> float:
-    return float(_ab_rest_lower(t) - _c1_assistance(t))
+def _ab_rest_lower(csq: np.ndarray, ca_sq: np.ndarray) -> np.ndarray:
+    """The AB|rest lower bound at every role pair (a, b) of a stack, (B, n, n), reading C_a^2 from ``ca_sq``."""
+    gaps = _sum_rest(csq[:, :, None, :] - ca_sq[:, None, :, :])  # sum over C of C^2(a, C) - C_a^2(b, C)
+    return np.maximum(gaps, gaps.swapaxes(-1, -2))
 
 
-def _abc_rest_lower_hub(t: TableRow) -> float:
-    cs = range(2, t.n_qubits)
-    total = t.csq(0, 2) + t.csq(1, 2)
-    total += sum(t.csq(2, c) for c in cs if c != 2)
-    total -= 2.0 * t.casq(0, 1)
-    total -= sum(t.casq(0, c) + t.casq(1, c) for c in cs)
-    return float(total)
+def _ab_rest_upper(ca_sq: np.ndarray) -> np.ndarray:
+    """The AB|rest upper bound at every role pair (a, b) of a stack, (B, n, n), reading C_a^2 from ``ca_sq``."""
+    return 2.0 * ca_sq + _sum_rest(ca_sq[:, :, None, :] + ca_sq[:, None, :, :])
 
 
-def _abc_rest_upper(t: TableRow) -> float:
-    return float(_ab_rest_upper(t) + _c1_assistance(t))
+def _c1_assistance(casq: np.ndarray) -> np.ndarray:
+    """C1's assistance total over a stack: C_a^2 of C1 with every other qubit."""
+    return _sum(casq[:, 2])
+
+
+def _abc_rest_lower_hub(csq: np.ndarray, casq: np.ndarray) -> np.ndarray:
+    """The ABC1|rest hub lower bound over a stack."""
+    total = csq[:, 0, 2] + csq[:, 1, 2] + _sum(csq[:, 2, 3:])
+    total -= 2.0 * casq[:, 0, 1]
+    return total - _sum(casq[:, 0, 2:] + casq[:, 1, 2:])
 
 
 def ab_rest_lower(state: PureState) -> float:
@@ -70,18 +75,17 @@ def ab_rest_lower(state: PureState) -> float:
 
     Raw value of max over the two difference sums; may be negative.
     """
-    return _ab_rest_lower(_table(state, 3, "the AB-versus-rest lower bound"))
+    return float(_ab_rest_lower(*_table(state, 3, "the AB-versus-rest lower bound").pair_sq)[0, 0, 1])
 
 
 def ab_rest_upper(state: PureState) -> float:
     """Upper bound on C^2(AB|rest) from the assistance of AB and all AB-C_i pairs."""
-    return _ab_rest_upper(_table(state, 3, "the AB-versus-rest upper bound"))
+    return float(_ab_rest_upper(_table(state, 3, "the AB-versus-rest upper bound").pair_sq[1])[0, 0, 1])
 
 
 def concurrence_chain(state: PureState):
     """Triangle chain (|a-b|, c, a+b) with a = C^2(A|rest), b = C^2(B|rest), c = C^2(AB|rest)."""
-    t = _table(state, 3, "the concurrence chain")
-    a, b, c = t.cut_sq([0]), t.cut_sq([1]), t.cut_sq([0, 1])
+    a, b, c = _table(state, 3, "the concurrence chain").cut_sq([0], [1], [0, 1])[0].tolist()
     return abs(a - b), c, a + b
 
 
@@ -100,8 +104,7 @@ def triangle_vectors(state: PureState) -> TriangleVectors:
     ``c_vec`` is laid along the first axis.  When c vanishes the chain forces
     a = b, and the construction degenerates to an antiparallel pair.
     """
-    t = _table(state, 3, "the triangle construction")
-    a, b, c = t.cut_sq([0]), t.cut_sq([1]), t.cut_sq([0, 1])
+    a, b, c = _table(state, 3, "the triangle construction").cut_sq([0], [1], [0, 1])[0].tolist()
     if c <= TRIANGLE_DEGENERATE_EPS:
         a_vec = (a, 0.0)
         c_vec = (0.0, 0.0)
@@ -121,17 +124,19 @@ def triangle_vectors(state: PureState) -> TriangleVectors:
 
 def abc_rest_lower_diff(state: PureState) -> float:
     """Raw lower bound on C^2(ABC1|rest): the AB-versus-rest bound minus C1's assistance total."""
-    return _abc_rest_lower_diff(_table(state, 4, "the ABC1-versus-rest bounds"))
+    csq, casq = _table(state, 4, "the ABC1-versus-rest bounds").pair_sq
+    return float(_ab_rest_lower(csq, casq)[0, 0, 1] - _c1_assistance(casq)[0])
 
 
 def abc_rest_lower_hub(state: PureState) -> float:
     """Raw lower bound on C^2(ABC1|rest) from C1's pair concurrences minus A/B assistance totals."""
-    return _abc_rest_lower_hub(_table(state, 4, "the ABC1-versus-rest bounds"))
+    return float(_abc_rest_lower_hub(*_table(state, 4, "the ABC1-versus-rest bounds").pair_sq)[0])
 
 
 def abc_rest_upper(state: PureState) -> float:
     """Upper bound on C^2(ABC1|rest): the AB-versus-rest upper bound plus C1's assistance total."""
-    return _abc_rest_upper(_table(state, 4, "the ABC1-versus-rest bounds"))
+    casq = _table(state, 4, "the ABC1-versus-rest bounds").pair_sq[1]
+    return float(_ab_rest_upper(casq)[0, 0, 1] + _c1_assistance(casq)[0])
 
 
 def wclass_state(coefficients) -> PureState:
@@ -150,16 +155,31 @@ def wclass_state(coefficients) -> PureState:
     return PureState(n, amps)
 
 
+@cache
+def _off_weight1(dim: int) -> np.ndarray:
+    """Of ``dim`` = 2^n basis labels, those whose Hamming weight is not 1."""
+    off = np.ones(dim, dtype=bool)
+    off[[1 << k for k in range(dim.bit_length() - 1)]] = False
+    off.flags.writeable = False
+    return off
+
+
+def _weight1(amplitudes: np.ndarray) -> np.ndarray:
+    """Per row of a (B, 2^n) amplitude stack, whether all its weight sits on Hamming-weight-1 labels."""
+    off = np.abs(amplitudes).max(axis=-1, initial=0.0, where=_off_weight1(amplitudes.shape[-1]))
+    return off <= WEIGHT1_SUPPORT_ATOL
+
+
 def is_weight1_supported(state: PureState) -> bool:
     """True when all amplitude weight sits on Hamming-weight-1 basis labels."""
-    weight1 = [1 << k for k in range(state.n_qubits)]
-    off = np.delete(state.amplitudes, weight1)
-    return bool(np.max(np.abs(off), initial=0.0) <= WEIGHT1_SUPPORT_ATOL)
+    return bool(_weight1(state.amplitudes[None])[0])
 
 
-def _wclass_chain(t: TableRow, i: int, j: int):
-    """The AB|rest bounds around C^2(A_i A_j | rest), with C^2 read for C_a^2."""
-    return _ab_rest_lower(t, i, j, TableRow.csq), t.cut_sq([i, j]), _ab_rest_upper(t, i, j, TableRow.csq)
+def _wclass_chain(table: MarginalTable):
+    """The AB|rest bounds around C^2(A_i A_j | rest), C^2 read for C_a^2: (B, P) arrays over pairs i < j."""
+    pairs, i, j = pair_index(table.n_qubits)
+    csq = table.pair_sq[0]  # the pair fill first: it keeps every pair purity, so no pair is traced twice
+    return _ab_rest_lower(csq, csq)[:, i, j], table.cut_sq(*pairs), _ab_rest_upper(csq)[:, i, j]
 
 
 def wclass_bounds(state: PureState, i: int, j: int):
@@ -174,7 +194,8 @@ def wclass_bounds(state: PureState, i: int, j: int):
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
     if not is_weight1_supported(state):
         raise ValueError("state is not supported on Hamming-weight-1 basis labels")
-    return _wclass_chain(MarginalTable([state]).rows[0], i, j)
+    k = pair_index(n)[0].index((i, j))
+    return tuple(float(side[0, k]) for side in _wclass_chain(MarginalTable([state])))
 
 
 def role_name(q: int) -> str:
@@ -222,61 +243,68 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     """
     if not 0 < tolerance < np.inf:
         raise ValueError("tolerance must be positive and finite")
-    t = _table(state, 3, "bound evaluation")
-    n = t.n_qubits
+    table = _table(state, 3, "bound evaluation")
+    entries = tuple(_entry(name, lhs[0], rhs[0], tolerance) for name, (_, lhs, rhs) in _entries(table).items())
+    csq, casq = (sq[0].tolist() for sq in table.pair_sq)
     components = {
-        f"{role_name(i)}-{role_name(j)}": {"concurrence_sq": t.csq(i, j), "assistance_sq": t.casq(i, j)}
-        for i in range(n) for j in range(i + 1, n)
+        f"{role_name(i)}-{role_name(j)}": {"concurrence_sq": csq[i][j], "assistance_sq": casq[i][j]}
+        for i, j in pair_index(table.n_qubits)[0]
     }
-    return BoundReport(state_id, n, tolerance, _entries(t, tolerance), components)
+    return BoundReport(state_id, table.n_qubits, tolerance, entries, components)
 
 
-def _entries(t: TableRow, tolerance: float) -> tuple:
-    """The ``BoundEntry`` of every bound applicable at the row's size."""
-    n = t.n_qubits
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _entry(name: str, lhs, rhs, tolerance: float) -> BoundEntry:
+    lhs, rhs = float(lhs), float(rhs)
+    slack = rhs - lhs
+    return BoundEntry(name, lhs, rhs, slack, slack >= -tolerance)
+
+
+def _worst(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Per state, the (lhs, rhs) of the pair with the least slack, the first pair on ties."""
+    k, states = np.argmin(rhs - lhs, axis=-1), np.arange(len(lhs))
+    return lhs[states, k], rhs[states, k]
+
+
+def _entries(table: MarginalTable) -> dict:
+    """``{inequality: (states, lhs, rhs)}`` of every bound applicable at the table's size, in report order.
+
+    ``states`` indexes the stack's states the bound applies to: all of them, or
+    for the W-class bounds the weight-1-supported ones.  ``lhs`` and ``rhs`` are
+    arrays over those states.
+    """
+    n, everyone = table.n_qubits, np.arange(len(table.states))
+    pairs, i, j = pair_index(n)
     # the pair fill first: it keeps every pair purity, so no pair is traced twice
-    ab_lower = _ab_rest_lower(t)
-    singles = {q: t.linear_entropy([q]) for q in range(n)}
-    doubles = {(i, j): t.linear_entropy((i, j)) for i, j in pairs}
+    csq, casq = table.pair_sq
+    entropies = table.linear_entropies([(q,) for q in range(n)] + list(pairs))
+    singles, doubles = entropies[:, :n], entropies[:, n:]
+    cuts = table.cut_sq([0], [1], [0, 1], *[[0, 1, 2]] * (n >= 4))
+    a_sq, b_sq, mid_ab = cuts[:, 0], cuts[:, 1], cuts[:, 2]
+    ab_lower, ab_upper = _ab_rest_lower(csq, casq)[:, 0, 1], _ab_rest_upper(casq)[:, 0, 1]
 
-    mid_ab = t.cut_sq([0, 1])
-    a_sq = t.cut_sq([0])
-    b_sq = t.cut_sq([1])
-
-    entries = []
-
-    def add(name, lhs, rhs):
-        slack = rhs - lhs
-        entries.append(BoundEntry(name, float(lhs), float(rhs), float(slack), bool(slack >= -tolerance)))
-
-    def add_worst(name, sides):
-        """Add the (lhs, rhs) with the least slack, the first pair on ties."""
-        add(name, *min(sides, key=lambda side: side[1] - side[0]))
-
-    add("ab_rest_lower", ab_lower, mid_ab)
-    add("ab_rest_upper", mid_ab, _ab_rest_upper(t))
-    add("chain_lower", abs(a_sq - b_sq), mid_ab)
-    add("chain_upper", mid_ab, a_sq + b_sq)
-    add("dual_assist", a_sq, sum(t.casq(0, j) for j in range(1, n)))
-    add("ckw", sum(t.csq(0, j) for j in range(1, n)), a_sq)
-
-    add_worst("lin_entropy_lower", [(abs(singles[i] - singles[j]), doubles[i, j]) for i, j in pairs])
-    add_worst("lin_entropy_upper", [(doubles[i, j], singles[i] + singles[j]) for i, j in pairs])
-
+    sides = {
+        "ab_rest_lower": (ab_lower, mid_ab),
+        "ab_rest_upper": (mid_ab, ab_upper),
+        "chain_lower": (np.abs(a_sq - b_sq), mid_ab),
+        "chain_upper": (mid_ab, a_sq + b_sq),
+        "dual_assist": (a_sq, _sum(casq[:, 0])),
+        "ckw": (_sum(csq[:, 0]), a_sq),
+        "lin_entropy_lower": _worst(np.abs(singles[:, i] - singles[:, j]), doubles),
+        "lin_entropy_upper": _worst(doubles, singles[:, i] + singles[:, j]),
+    }
     if n >= 4:
-        mid_abc = t.cut_sq([0, 1, 2])
-        diff = _abc_rest_lower_diff(t)
-        hub = _abc_rest_lower_hub(t)
-        add("abc_rest_lower_diff", diff, mid_abc)
-        add("abc_rest_lower_diff_clamped", max(0.0, diff), mid_abc)
-        add("abc_rest_lower_hub", hub, mid_abc)
-        add("abc_rest_lower_hub_clamped", max(0.0, hub), mid_abc)
-        add("abc_rest_upper", mid_abc, _abc_rest_upper(t))
+        mid_abc, c1 = cuts[:, 3], _c1_assistance(casq)
+        diff, hub = ab_lower - c1, _abc_rest_lower_hub(csq, casq)
+        sides["abc_rest_lower_diff"] = (diff, mid_abc)
+        sides["abc_rest_lower_diff_clamped"] = (np.maximum(0.0, diff), mid_abc)
+        sides["abc_rest_lower_hub"] = (hub, mid_abc)
+        sides["abc_rest_lower_hub_clamped"] = (np.maximum(0.0, hub), mid_abc)
+        sides["abc_rest_upper"] = (mid_abc, ab_upper + c1)
+    entries = {name: (everyone, lhs, rhs) for name, (lhs, rhs) in sides.items()}
 
-    if is_weight1_supported(t.state):
-        chains = [_wclass_chain(t, i, j) for i, j in pairs]
-        add_worst("wclass_lower", [(lower, mid) for lower, mid, _ in chains])
-        add_worst("wclass_upper", [(mid, upper) for _, mid, upper in chains])
-
-    return tuple(entries)
+    weight1 = np.flatnonzero(_weight1(table.amplitudes))
+    if len(weight1):
+        lower, mid, upper = (side[weight1] for side in _wclass_chain(table))
+        entries["wclass_lower"] = (weight1, *_worst(lower, mid))
+        entries["wclass_upper"] = (weight1, *_worst(mid, upper))
+    return entries

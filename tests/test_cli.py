@@ -10,6 +10,7 @@ import qmonogamy.monogamy
 from qmonogamy import (PureState, evaluate_all, random_haar_state, read_state_file, state_from_basis_terms,
                        write_state_file)
 from qmonogamy.cli import CHUNK as DEFAULT_CHUNK, main
+from qmonogamy.concurrence import MarginalTable
 from qmonogamy.monogamy import BoundEntry, BoundReport, wclass_state
 
 
@@ -110,6 +111,16 @@ def assert_first_eight_dumped(directory, capsys, seed, states, failing, inequali
         assert line.endswith(f" on state {index}; dumped violation-{seed}-{index}.json")
 
 
+def pair_table(state):
+    """The bytes of a state's C_a^2 table, which a stack holding the state gives bit for bit."""
+    return MarginalTable([state]).pair_sq[1].tobytes()
+
+
+def broken_rows(broken):
+    """Which states of a stack's (B, n, n) C_a^2 table have their table in ``broken``."""
+    return lambda casq: np.array([table.tobytes() in broken for table in casq])
+
+
 class OneFillPerChunk:
     """The table work of a command that fills one ``MarginalTable`` per ``CHUNK`` states."""
 
@@ -196,10 +207,10 @@ class TestFuzz(OneFillPerChunk):
         seed, count, failing = 5, 16, [1, 2, 5, 6, 9, 10, 11, 13, 14]
         monkeypatch.setattr(qmonogamy.cli, "CHUNK", 4)
         states = [random_haar_state(3, np.random.default_rng([seed, index])) for index in range(count)]
-        broken = {states[index].amplitudes.tobytes() for index in failing}
+        hit = broken_rows({pair_table(states[index]) for index in failing})
         upper = qmonogamy.monogamy._ab_rest_upper
         monkeypatch.setattr(qmonogamy.monogamy, "_ab_rest_upper",
-                            lambda t: -1.0 if t.state.amplitudes.tobytes() in broken else upper(t))
+                            lambda ca_sq: np.where(hit(ca_sq)[:, None, None], -1.0, upper(ca_sq)))
         monkeypatch.chdir(tmp_path)
         assert main(["fuzz", "--qubits", "3", "--count", str(count), "--seed", str(seed),
                      "--out", "fuzz.json"]) == 2
@@ -211,10 +222,10 @@ class TestFuzz(OneFillPerChunk):
         seed, count, failing = 3, 14, [0, 2, 3, 5, 6, 7, 9, 11, 12, 13]
         monkeypatch.setattr(qmonogamy.cli, "CHUNK", 5)
         states = [random_haar_state(4, np.random.default_rng([seed, index])) for index in range(count)]
-        broken = {states[index].amplitudes.tobytes() for index in failing}
+        hit = broken_rows({pair_table(states[index]) for index in failing})
         hub = qmonogamy.monogamy._abc_rest_lower_hub
         monkeypatch.setattr(qmonogamy.monogamy, "_abc_rest_lower_hub",
-                            lambda t: hub(t) + 10.0 * (t.state.amplitudes.tobytes() in broken))
+                            lambda csq, casq: hub(csq, casq) + 10.0 * hit(casq))
         monkeypatch.chdir(tmp_path)
         assert main(["fuzz", "--qubits", "4", "--count", str(count), "--seed", str(seed),
                      "--out", "fuzz.json"]) == 2
@@ -298,9 +309,10 @@ class TestWclassScan(OneFillPerChunk):
         broken = {states[index].amplitudes.tobytes() for index in failing}
         chain = qmonogamy.cli._wclass_chain
 
-        def broken_chain(t, i, j):
-            lower, mid, upper = chain(t, i, j)
-            return lower, mid, -1.0 if t.state.amplitudes.tobytes() in broken else upper
+        def broken_chain(table):
+            lower, mid, upper = chain(table)
+            hit = np.array([state.amplitudes.tobytes() in broken for state in table.states])
+            return lower, mid, np.where(hit[:, None], -1.0, upper)
 
         monkeypatch.setattr(qmonogamy.cli, "CHUNK", 4)
         monkeypatch.setattr(qmonogamy.cli, "_wclass_chain", broken_chain)

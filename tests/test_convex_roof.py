@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -351,3 +355,19 @@ def test_oracle_is_sweeps_only(monkeypatch):
         cmin, cmax = wootters_concurrence(dm), concurrence_of_assistance(dm)
         assert convex_roof_optimize(dm, "minimize", seed=rank)[0] == pytest.approx(cmin, abs=ORACLE_ATOL)
         assert convex_roof_optimize(dm, "maximize", seed=rank)[0] == pytest.approx(cmax, abs=ORACLE_ATOL)
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize is imported only when convex_roof.minimize is read, as the
+    # benchmark's tracer does; it used to take most of the package's import time
+    code = """
+import sys
+import qmonogamy, qmonogamy.cli
+assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded on import'
+from qmonogamy import convex_roof
+assert convex_roof.minimize.__module__.startswith('scipy.optimize')
+"""
+    src = os.path.dirname(os.path.dirname(qmonogamy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

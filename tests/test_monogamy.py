@@ -355,18 +355,18 @@ class TestMarginalTable:
         assert set(marginals.values()) == {1}
         assert len(marginals) == n * (n - 1) // 2 + n + (n >= 6)
 
-    # how a row reads each kind of marginal: the pair fill, a single, a larger cut
-    READS = {(0, 1): lambda row: row.csq(0, 1), (0,): lambda row: row.cut_sq([0]),
-             (0, 1, 2): lambda row: row.cut_sq([0, 1, 2])}
+    # how a table reads each kind of marginal: the pair fill, a single, a larger cut
+    READS = {(0, 1): lambda table: table.pair_sq, (0,): lambda table: table.cut_sq([0]),
+             (0, 1, 2): lambda table: table.cut_sq([0, 1, 2])}
 
     @pytest.mark.parametrize("keep", READS)
     def test_fill_keeps_the_trace_check(self, keep):
         good = [random_haar_state(6, seed) for seed in range(3)]
-        self.READS[keep](MarginalTable(good).rows[0])
+        self.READS[keep](MarginalTable(good))
         # past the norm check of PureState: the marginal traces are 1 + 2e-9
         off = SimpleNamespace(n_qubits=6, amplitudes=good[1].amplitudes * (1 + 1e-9))
         with pytest.raises(ValueError, match="trace"):
-            self.READS[keep](MarginalTable([good[0], off, good[2]]).rows[0])
+            self.READS[keep](MarginalTable([good[0], off, good[2]]))
 
     @pytest.mark.parametrize("keep", READS)
     def test_fill_keeps_the_psd_floor(self, keep, monkeypatch):
@@ -383,9 +383,9 @@ class TestMarginalTable:
 
         monkeypatch.setattr(MarginalTable, "_marginal", shifted)
         states = [random_haar_state(6, 0), state_from_basis_terms(6, [("000000", 1)])]
-        self.READS[keep](MarginalTable(states[:1]).rows[0])
+        self.READS[keep](MarginalTable(states[:1]))
         with pytest.raises(ValueError, match="PSD"):
-            self.READS[keep](MarginalTable(states).rows[0])
+            self.READS[keep](MarginalTable(states))
 
     @given(seed=st.integers(0, 10**9), n=st.integers(3, 6), weight1=st.booleans())
     @settings(max_examples=40, deadline=None)
