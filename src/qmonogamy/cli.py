@@ -8,6 +8,7 @@ implementation bug rather than a counterexample).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -160,7 +161,10 @@ def cmd_wclass_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  It names each handler, and ``main`` looks the name up
+    when it dispatches, so a later rebinding of ``cmd_*`` in this module takes effect."""
     parser = argparse.ArgumentParser(
         prog="qmonogamy",
         description="Concurrence monogamy bounds for N-qubit pure states",
@@ -168,14 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="evaluate every applicable bound on a state file")
-    p.set_defaults(run=cmd_check)
+    p.set_defaults(run="cmd_check")
     p.add_argument("state_file")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("fuzz", help="check the bounds on random states")
-    p.set_defaults(run=cmd_fuzz)
+    p.set_defaults(run="cmd_fuzz")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -184,11 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("reproduce-paper", help="recompute the bundled worked examples")
-    p.set_defaults(run=cmd_reproduce_paper)
+    p.set_defaults(run="cmd_reproduce_paper")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("wclass-scan", help="scan random weight-1 states, emitting a CSV of bound chains")
-    p.set_defaults(run=cmd_wclass_scan)
+    p.set_defaults(run="cmd_wclass_scan")
     p.add_argument("--n", dest="qubits", metavar="N", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -211,7 +215,7 @@ def main(argv=None) -> int:
             raise ValueError(f"qubit count must be in [3, {MAX_QUBITS}]")
         if not 0 < getattr(args, "tolerance", DEFAULT_TOLERANCE) < np.inf:
             raise ValueError("tolerance must be positive and finite")
-        return args.run(args)
+        return globals()[args.run](args)
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ a negative lower bound carries no information beyond C^2 >= 0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -231,7 +231,12 @@ class BoundReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict(self)`` without its deep copies: below the dicts every value is immutable."""
+        return {
+            "state_id": self.state_id, "n_qubits": self.n_qubits, "tolerance": self.tolerance,
+            "entries": tuple(vars(e).copy() for e in self.entries),
+            "components": {pair: dict(values) for pair, values in self.components.items()},
+        }
 
 
 def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_id: str = "state") -> BoundReport:

@@ -8,6 +8,7 @@ a write/read cycle reproduces every amplitude bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -48,17 +49,16 @@ def parse_state(text: str) -> PureState:
     if type(n) is not int or not 1 <= n <= MAX_QUBITS:
         raise StateFileError("parse", f"n_qubits must be an integer in [1, {MAX_QUBITS}]")
     raw = doc["amplitudes"]
-    # json gives exact types, so an exact-type test also rejects booleans
-    if not isinstance(raw, list) or any(
-        not isinstance(pair, list) or len(pair) != 2
-        or type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float)
-        for pair in raw
-    ):
+    # json gives exact types, so exact-type tests also reject booleans; each
+    # test is one C-level pass over what the tests before it admitted
+    if (type(raw) is not list or not set(map(type, raw)) <= {list} or not set(map(len, raw)) <= {2}
+            or not set(map(type, flat := list(itertools.chain.from_iterable(raw)))) <= {int, float}):
         raise StateFileError("parse", "amplitudes must be a list of [re, im] number pairs")
     if len(raw) != 2**n:
         raise StateFileError("length", f"expected 2**{n} = {2**n} amplitudes, got {len(raw)}")
     try:
-        amps = np.array([complex(re, im) for re, im in raw])
+        # each number rounds to the nearest double, as complex(re, im) rounds it
+        amps = np.array(flat, dtype=float).view(complex)
     except OverflowError as exc:  # an integer literal beyond the double range
         raise StateFileError("finite", f"amplitude out of the double range: {exc}") from exc
     if not np.all(np.isfinite(amps)):

@@ -9,6 +9,7 @@ roles follow the same order: qubit 0 plays A, qubit 1 plays B and qubit
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -24,6 +25,15 @@ NORM_ATOL = TRACE_ATOL / 4
 PSD_FLOOR = -1e-10
 
 
+def _qubit_count(n, name: str) -> int:
+    """``n`` as an ``int`` in [1, MAX_QUBITS]; a float or a boolean is no count, even if integral."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"{name} must be in [1, {MAX_QUBITS}], got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over ``n_qubits`` qubits."""
@@ -32,13 +42,10 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        n = _qubit_count(self.n_qubits, "n_qubits")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"amplitude vector must have length 2**{self.n_qubits}, got shape {amps.shape}"
-            )
+        if amps.shape != (2**n,):
+            raise ValueError(f"amplitude vector must have length 2**{n}, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
@@ -47,6 +54,7 @@ class PureState:
         if abs(norm - 1.0) > NORM_ATOL:
             amps = amps / norm
         amps.flags.writeable = False
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -113,8 +121,7 @@ def state_from_basis_terms(n: int, terms: Sequence) -> PureState:
 
     Labels are length-``n`` strings over {0, 1}; repeated labels accumulate.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    n = _qubit_count(n, "n")
     if not terms:
         raise ValueError("at least one basis term is required")
     amps = np.zeros(2**n, dtype=complex)
@@ -187,8 +194,7 @@ def random_haar_state(n: int, seed) -> PureState:
     Haar on the unit sphere.  ``seed`` may be an integer, a seed sequence, or
     an existing ``numpy.random.Generator``.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    n = _qubit_count(n, "n")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, z / np.linalg.norm(z))

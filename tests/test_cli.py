@@ -370,6 +370,62 @@ class TestExitCodeContract:
         assert err.startswith("error [io]") and "Traceback" not in err
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it must not change any output."""
+
+    CALLS = [
+        ["check", "sat4.json", "--format", "csv"],
+        ["check", "sat4.json"],
+        ["check", "sat4.json", "--format", "csv", "--out", "check.csv"],
+        ["check", "sat4.json", "--out", "check.json"],
+        ["fuzz", "--qubits", "4", "--count", "3", "--seed", "1", "--format", "csv"],
+        ["fuzz", "--qubits", "4", "--count", "3", "--seed", "1"],
+        ["fuzz", "--qubits", "4", "--count", "3", "--seed", "1", "--format", "csv", "--out", "fuzz.csv"],
+        ["fuzz", "--qubits", "4", "--count", "3", "--seed", "1", "--out", "fuzz.json"],
+        ["wclass-scan", "--n", "4", "--count", "3", "--seed", "2"],
+        ["reproduce-paper", "--out", "paper.json"],
+        ["wclass-scan", "--n", "4", "--count", "3", "--seed", "2", "--out", "scan.csv"],
+        ["fuzz", "--qubits", "4"],  # a usage error: required flags missing
+        ["--help"],
+        ["check", "sat4.json", "--tolerance", "nan"],
+        ["check", "sat4.json", "--format", "csv"],
+    ]
+
+    @staticmethod
+    def _run(directory, monkeypatch, capsys, fresh: bool):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        write_state_file(state_from_basis_terms(4, [("0000", 1), ("1001", 1)]), "sat4.json")
+        qmonogamy.cli.build_parser.cache_clear()
+        calls = []
+        for argv in TestParserReuse.CALLS:
+            if fresh:
+                qmonogamy.cli.build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            calls.append((argv, code, captured.out, captured.err))
+        return calls, {path.name: path.read_text() for path in sorted(directory.iterdir())}
+
+    def test_reused_parser_gives_what_a_fresh_one_gives(self, tmp_path, monkeypatch, capsys):
+        reused, reused_files = self._run(tmp_path / "reused", monkeypatch, capsys, fresh=False)
+        fresh, fresh_files = self._run(tmp_path / "fresh", monkeypatch, capsys, fresh=True)
+        assert reused == fresh
+        assert reused_files == fresh_files
+        assert len(reused_files) == 7  # sat4.json and six --out files
+        assert [code for _, code, _, _ in reused] == [0] * 11 + [1, 0, 1, 0]
+        assert reused[0][2] == reused[-1][2] and reused[0][2] != reused[1][2]  # csv, json, ..., csv again
+
+    def test_parser_is_built_once(self):
+        assert qmonogamy.cli.build_parser() is qmonogamy.cli.build_parser()
+
+    def test_handler_rebound_after_the_first_call_is_used(self, sat4_file, monkeypatch, capsys):
+        assert main(["check", str(sat4_file)]) == 0
+        seen = []
+        monkeypatch.setattr(qmonogamy.cli, "cmd_check", lambda args: seen.append(args.state_file) or 7)
+        assert main(["check", str(sat4_file)]) == 7
+        assert seen == [str(sat4_file)]
+
+
 class TestFuzzRegression:
     def test_pinned_min_slack_table(self, tmp_path):
         # frozen from the first run of this configuration; any drift in the

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -320,6 +322,21 @@ class TestEvaluateAll:
         assert doc["n_qubits"] == 4
         entry = doc["entries"][0]
         assert set(entry) == {"inequality", "lhs", "rhs", "slack", "satisfied"}
+
+    @pytest.mark.parametrize("n", [3, 6, MAX_QUBITS])
+    def test_report_dict_is_asdict_and_shares_nothing(self, n):
+        report = evaluate_all(random_haar_state(n, 40 + n), state_id=f"haar-{n}")
+        doc = report.to_dict()
+        assert doc == dataclasses.asdict(report)
+        assert type(doc["entries"]) is tuple
+        text = json.dumps(doc, indent=2)
+        assert text == json.dumps(dataclasses.asdict(report), indent=2)
+        # a caller that edits the dict edits neither the report nor the next dict
+        doc["entries"][0]["lhs"] = doc["entries"][0]["inequality"] = None
+        next(iter(doc["components"].values()))["concurrence_sq"] = -1.0
+        doc["components"]["extra"] = {}
+        assert report.to_dict() == dataclasses.asdict(report)
+        assert json.dumps(report.to_dict(), indent=2) == text
 
     def test_unknown_entry_raises_key_error(self):
         with pytest.raises(KeyError, match="no_such_bound"):

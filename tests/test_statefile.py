@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmonogamy import (
+    PureState,
     StateFileError,
     parse_state,
     random_haar_state,
@@ -52,6 +53,38 @@ def test_bad_norm_rejected():
     assert err.value.code == "normalization"
 
 
+def _last_of_4096(bad: str) -> str:
+    """An n = 12 document whose 4095 first pairs are 1/64 each and whose last pair is ``bad``."""
+    return '{"n_qubits": 12, "amplitudes": [' + "[0.015625, 0], " * 4095 + bad + "]}"
+
+
+def test_huge_integer_in_the_last_pair_is_not_finite():
+    assert parse_state(_last_of_4096("[0.015625, 0]")).n_qubits == 12  # a good last pair passes
+    with pytest.raises(StateFileError) as err:
+        parse_state(_last_of_4096("[0.0, -1" + "0" * 400 + "]"))
+    assert err.value.code == "finite"
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_round_trip_bit_exact_with_signed_zeros_and_integers(n):
+    rng = np.random.default_rng(n)
+    haar = random_haar_state(n, rng).amplitudes.copy()
+    haar[rng.integers(0, 2**n, 2 ** (n - 1))] = complex(-0.0, -0.0)
+    haar.imag[rng.integers(0, 2**n, 2 ** (n - 1))] = -0.0
+    basis = np.full(2**n, complex(-0.0, 0.0))
+    basis[rng.integers(0, 2**n)] = -1j if n % 2 else -1.0  # written as the integers 0 and -1
+    for amps in (haar / np.linalg.norm(haar), basis):
+        state = PureState(n, amps)
+        text = serialize_state(state)
+        again = parse_state(text).amplitudes
+        # what complex(re, im) makes of the document, bit for bit
+        reference = np.array([complex(re, im) for re, im in json.loads(text)["amplitudes"]])
+        assert again.tobytes() == reference.tobytes()
+        # every amplitude comes back bit for bit, except that -0.0 is written "-0",
+        # which JSON reads as the integer 0; adding +0.0 maps -0.0 to +0.0 alone
+        assert again.tobytes() == (state.amplitudes + 0.0).tobytes()
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity",
                                  pytest.param("1" + "0" * 400, id="400-digit-int")])
 def test_non_finite_amplitude_rejected(bad):
@@ -68,7 +101,11 @@ def test_malformed_document_rejected(tmp_path):
                  '{"n_qubits": 1, "amplitudes": [[1.0, "x"], [0.0, 0.0]]}',
                  '{"n_qubits": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
                  '{"n_qubits": 1, "amplitudes": [[true, 0.0], [0.0, 0.0]]}',
-                 '{"n_qubits": 1, "amplitudes": [[1' + "0" * 5000 + ', 0.0], [0.0, 0.0]]}'):
+                 '{"n_qubits": 1, "amplitudes": [[1' + "0" * 5000 + ', 0.0], [0.0, 0.0]]}',
+                 # the bad pair is the last of 4096, after 4095 that sum to norm 1
+                 *(_last_of_4096(bad) for bad in ('[1.0]', '"xy"', '[0.0, "x"]', 'null', '[0.0, null]',
+                                                  '[false, 0.0]', '[0.0, true]', '[[0.0], 0.0]',
+                                                  '[0.0, [0.0, 0.0]]'))):
         with pytest.raises(StateFileError) as err:
             parse_state(text)
         assert err.value.code == "parse"

@@ -79,6 +79,22 @@ class TestPureStateInvariants:
         with pytest.raises(ValueError, match="n_qubits must be in"):
             PureState(n, np.ones(1))
 
+    @pytest.mark.parametrize("n", [2.0, True, np.bool_(True), np.float64(1.0)])
+    def test_non_integer_qubit_count_rejected(self, n):
+        # a float or a boolean is no count, even if it compares equal to one
+        with pytest.raises(ValueError, match="must be an integer"):
+            PureState(n, np.eye(4)[0] if n == 2 else [1.0, 0.0])
+        with pytest.raises(ValueError, match="must be an integer"):
+            random_haar_state(n, 0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            state_from_basis_terms(n, [("0" * int(n), 1)])
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.uint8(2), np.intp(2)])
+    def test_numpy_integer_qubit_count_stored_as_int(self, n):
+        for state in (PureState(n, np.eye(4)[0]), random_haar_state(n, 0),
+                      state_from_basis_terms(n, [("01", 1)])):
+            assert type(state.n_qubits) is int and state.n_qubits == 2
+
     def test_amplitudes_read_only(self):
         state = state_from_basis_terms(1, [("0", 1)])
         with pytest.raises(ValueError):
