@@ -143,7 +143,8 @@ def cmd_wclass_scan(args) -> int:
     # (count, P) arrays over the pairs i < j of every sample
     lower, mid, upper = map(np.concatenate, zip(*map(_wclass_chain, _tables(map(wclass_state, samples)))))
     gaps_lower, gaps_upper = mid - lower, upper - mid
-    bad = np.count_nonzero((gaps_lower < -args.tolerance) | (gaps_upper < -args.tolerance))
+    # judged as fuzz judges slack, so that a NaN gap is a violation
+    bad = np.count_nonzero(~((gaps_lower >= -args.tolerance) & (gaps_upper >= -args.tolerance)))
     rows = ["coefficients,pair,lower,mid,upper,gap_lower,gap_upper"]
     labels = [f"{i + 1}-{j + 1}" for i, j in pair_index(n)[0]]
     for coeffs, *chain in zip(samples, *(side.tolist() for side in (lower, mid, upper, gaps_lower, gaps_upper))):

@@ -33,41 +33,32 @@ def _sum(terms: np.ndarray) -> np.ndarray:
     return terms.cumsum(axis=-1)[..., -1]
 
 
-@cache
-def _rest(n: int) -> np.ndarray:
-    """The (n, n, n) mask that is True at (a, b, c) when c is neither a nor b."""
-    c = np.arange(n)
-    rest = (c != c[:, None, None]) & (c != c[:, None])
-    rest.flags.writeable = False
-    return rest
-
-
-def _sum_rest(terms: np.ndarray) -> np.ndarray:
-    """``_sum`` of (..., n, n, n) terms at (a, b, c) over the c other than a and b, those read as +0.0."""
-    return _sum(np.where(_rest(terms.shape[-1]), terms, 0.0))
-
-
 def _ab_rest_lower(csq: np.ndarray, ca_sq: np.ndarray) -> np.ndarray:
     """The AB|rest lower bound at every role pair (a, b) of a stack, (B, n, n), reading C_a^2 from ``ca_sq``."""
-    gaps = _sum_rest(csq[:, :, None, :] - ca_sq[:, None, :, :])  # sum over C of C^2(a, C) - C_a^2(b, C)
+    # sum over C of C^2(a, C) - C_a^2(b, C): the row sums K(a) and A(b), less their (a, b) terms
+    gaps = (_sum(csq)[:, :, None] - csq) - (_sum(ca_sq)[:, None, :] - ca_sq)
     return np.maximum(gaps, gaps.swapaxes(-1, -2))
 
 
 def _ab_rest_upper(ca_sq: np.ndarray) -> np.ndarray:
     """The AB|rest upper bound at every role pair (a, b) of a stack, (B, n, n), reading C_a^2 from ``ca_sq``."""
-    return 2.0 * ca_sq + _sum_rest(ca_sq[:, :, None, :] + ca_sq[:, None, :, :])
+    totals = _sum(ca_sq)  # 2 C_a^2(a, b) + sum over C of C_a^2(a, C) + C_a^2(b, C) is A(a) + A(b)
+    return totals[:, :, None] + totals[:, None, :]
 
 
-def _c1_assistance(casq: np.ndarray) -> np.ndarray:
-    """C1's assistance total over a stack: C_a^2 of C1 with every other qubit."""
-    return _sum(casq[:, 2])
+def _grow(lower, upper, csq: np.ndarray, casq: np.ndarray, q: int) -> tuple:
+    """From the bounds on C^2(S|rest) over a stack to the (diff, hub, upper) bounds on C^2(Sq|rest).
+
+    They are (lower - A(q), K(q) - upper, upper + A(q)), with K and A the row sums of C^2 and C_a^2.
+    """
+    assistance = _sum(casq[:, q])
+    return lower - assistance, _sum(csq[:, q]) - upper, upper + assistance
 
 
-def _abc_rest_lower_hub(csq: np.ndarray, casq: np.ndarray) -> np.ndarray:
-    """The ABC1|rest hub lower bound over a stack."""
-    total = csq[:, 0, 2] + csq[:, 1, 2] + _sum(csq[:, 2, 3:])
-    total -= 2.0 * casq[:, 0, 1]
-    return total - _sum(casq[:, 0, 2:] + casq[:, 1, 2:])
+def _abc_rest(state: PureState) -> tuple:
+    """The ABC1|rest bounds (diff, hub, upper) of one state: the AB|rest bounds grown by C1."""
+    csq, casq = _table(state, 4, "the ABC1-versus-rest bounds").pair_sq
+    return _grow(_ab_rest_lower(csq, casq)[:, 0, 1], _ab_rest_upper(casq)[:, 0, 1], csq, casq, 2)
 
 
 def ab_rest_lower(state: PureState) -> float:
@@ -124,19 +115,17 @@ def triangle_vectors(state: PureState) -> TriangleVectors:
 
 def abc_rest_lower_diff(state: PureState) -> float:
     """Raw lower bound on C^2(ABC1|rest): the AB-versus-rest bound minus C1's assistance total."""
-    csq, casq = _table(state, 4, "the ABC1-versus-rest bounds").pair_sq
-    return float(_ab_rest_lower(csq, casq)[0, 0, 1] - _c1_assistance(casq)[0])
+    return float(_abc_rest(state)[0][0])
 
 
 def abc_rest_lower_hub(state: PureState) -> float:
-    """Raw lower bound on C^2(ABC1|rest) from C1's pair concurrences minus A/B assistance totals."""
-    return float(_abc_rest_lower_hub(*_table(state, 4, "the ABC1-versus-rest bounds").pair_sq)[0])
+    """Raw lower bound on C^2(ABC1|rest): C1's concurrence total minus the AB-versus-rest upper bound."""
+    return float(_abc_rest(state)[1][0])
 
 
 def abc_rest_upper(state: PureState) -> float:
     """Upper bound on C^2(ABC1|rest): the AB-versus-rest upper bound plus C1's assistance total."""
-    casq = _table(state, 4, "the ABC1-versus-rest bounds").pair_sq[1]
-    return float(_ab_rest_upper(casq)[0, 0, 1] + _c1_assistance(casq)[0])
+    return float(_abc_rest(state)[2][0])
 
 
 def wclass_state(coefficients) -> PureState:
@@ -298,13 +287,13 @@ def _entries(table: MarginalTable) -> dict:
         "lin_entropy_upper": _worst(doubles, singles[:, i] + singles[:, j]),
     }
     if n >= 4:
-        mid_abc, c1 = cuts[:, 3], _c1_assistance(casq)
-        diff, hub = ab_lower - c1, _abc_rest_lower_hub(csq, casq)
+        mid_abc = cuts[:, 3]
+        diff, hub, abc_upper = _grow(ab_lower, ab_upper, csq, casq, 2)
         sides["abc_rest_lower_diff"] = (diff, mid_abc)
         sides["abc_rest_lower_diff_clamped"] = (np.maximum(0.0, diff), mid_abc)
         sides["abc_rest_lower_hub"] = (hub, mid_abc)
         sides["abc_rest_lower_hub_clamped"] = (np.maximum(0.0, hub), mid_abc)
-        sides["abc_rest_upper"] = (mid_abc, ab_upper + c1)
+        sides["abc_rest_upper"] = (mid_abc, abc_upper)
     entries = {name: (everyone, lhs, rhs) for name, (lhs, rhs) in sides.items()}
 
     weight1 = np.flatnonzero(_weight1(table.amplitudes))

@@ -28,6 +28,8 @@ def serialize_state(state: PureState) -> str:
     rows = ",\n".join(
         f"    [{a.real:.17g}, {a.imag:.17g}]" for a in state.amplitudes
     )
+    # JSON reads "-0" as the integer 0, so negative zero is written "-0.0"
+    rows = rows.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
     return (
         "{\n"
         f'  "n_qubits": {state.n_qubits},\n'

@@ -43,7 +43,7 @@ class PureState:
 
     def __post_init__(self):
         n = _qubit_count(self.n_qubits, "n_qubits")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)  # a copy: the caller's array stays writeable
         if amps.shape != (2**n,):
             raise ValueError(f"amplitude vector must have length 2**{n}, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
@@ -74,7 +74,7 @@ class DensityMatrix:
         labels = tuple(int(q) for q in self.qubit_labels)
         if len(labels) == 0 or len(set(labels)) != len(labels):
             raise ValueError("qubit_labels must be non-empty and distinct")
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writeable
         dim = 2 ** len(labels)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim} for {len(labels)} qubits, got {m.shape}")

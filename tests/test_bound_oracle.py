@@ -1,18 +1,25 @@
-"""The bound arithmetic restated per state, as a reference for the stack path.
+"""The bound arithmetic restated per state, as two references for the stack path.
 
 ``monogamy._entries`` computes each inequality as one array expression over a
 stack of states.  The formulas below compute the same entries for one state at
 a time, as plain Python sums over that state's pair values C^2 and C_a^2 and
 its cut values, each read from ``partial_trace`` rather than from a
-``MarginalTable``.  Every sum adds left to right from 0, as Python's ``sum``
-does, so the stack path must give the same bits for every state of every
-stack, whatever the stack holds.
+``MarginalTable``.
+
+The first reference states the AB|rest and ABC1|rest bounds through the row
+sums K(q) = sum_j C^2(q, j) and A(q) = sum_j C_a^2(q, j), as the stack path
+does.  Every sum adds left to right from 0, as Python's ``sum`` does, so the
+stack path must give the same bits for every state of every stack, whatever
+the stack holds.  The second reference keeps the paper's literal grouping of
+those sums.  It rounds differently, so the entries built from it agree with
+the stack path within 1e-13, and every other entry bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from qmonogamy import (
+    PureState,
     concurrence_of_assistance,
     linear_entropy,
     partial_trace,
@@ -21,7 +28,7 @@ from qmonogamy import (
     wootters_concurrence,
 )
 from qmonogamy.concurrence import MarginalTable
-from qmonogamy.monogamy import _entries, is_weight1_supported
+from qmonogamy.monogamy import _entries, _wclass_chain, is_weight1_supported
 
 
 class Row:
@@ -36,10 +43,10 @@ class Row:
                 self.pairs[i, j] = (wootters_concurrence(dm) ** 2, concurrence_of_assistance(dm) ** 2)
 
     def csq(self, i, j):
-        return self.pairs[min(i, j), max(i, j)][0]
+        return 0.0 if i == j else self.pairs[min(i, j), max(i, j)][0]
 
     def casq(self, i, j):
-        return self.pairs[min(i, j), max(i, j)][1]
+        return 0.0 if i == j else self.pairs[min(i, j), max(i, j)][1]
 
     def linear_entropy(self, qubits):
         return linear_entropy(partial_trace(self.state, qubits))
@@ -49,60 +56,83 @@ class Row:
         return 2.0 * self.linear_entropy(left if len(left) <= len(right) else right)
 
 
-def ab_rest_lower(t, a=0, b=1, ca_sq=Row.casq):
-    cs = [c for c in range(t.n_qubits) if c not in (a, b)]
-    sum_a = sum(t.csq(a, c) - ca_sq(t, b, c) for c in cs)
-    sum_b = sum(t.csq(b, c) - ca_sq(t, a, c) for c in cs)
-    return max(sum_a, sum_b)
+def row_sum(t, q, sq=Row.csq):
+    """K(q) = sum_j C^2(q, j), or with ``Row.casq`` A(q), the zero (q, q) term included."""
+    return sum(sq(t, q, j) for j in range(t.n_qubits))
 
 
-def ab_rest_upper(t, a=0, b=1, ca_sq=Row.casq):
-    cs = [c for c in range(t.n_qubits) if c not in (a, b)]
-    total = 2.0 * ca_sq(t, a, b)
-    total += sum(ca_sq(t, a, c) + ca_sq(t, b, c) for c in cs)
-    return total
+class RowSums:
+    """The AB|rest and ABC1|rest bounds from the row sums, as the stack path states them."""
+
+    @staticmethod
+    def ab_rest(t, a=0, b=1, ca_sq=Row.casq):
+        def gap(a, b):  # sum over C of C^2(a, C) - C_a^2(b, C)
+            return (row_sum(t, a) - t.csq(a, b)) - (row_sum(t, b, ca_sq) - ca_sq(t, a, b))
+
+        return max(gap(a, b), gap(b, a)), row_sum(t, a, ca_sq) + row_sum(t, b, ca_sq)
+
+    @staticmethod
+    def abc_rest(t):
+        lower, upper = RowSums.ab_rest(t)
+        assistance = row_sum(t, 2, Row.casq)
+        return lower - assistance, row_sum(t, 2) - upper, upper + assistance
 
 
-def c1_assistance(t):
-    return sum(t.casq(2, j) for j in [0, 1] + list(range(3, t.n_qubits)))
+class Literal:
+    """The same bounds with the paper's grouping of the sums."""
+
+    @staticmethod
+    def ab_rest(t, a=0, b=1, ca_sq=Row.casq):
+        cs = [c for c in range(t.n_qubits) if c not in (a, b)]
+        sum_a = sum(t.csq(a, c) - ca_sq(t, b, c) for c in cs)
+        sum_b = sum(t.csq(b, c) - ca_sq(t, a, c) for c in cs)
+        upper = 2.0 * ca_sq(t, a, b)
+        upper += sum(ca_sq(t, a, c) + ca_sq(t, b, c) for c in cs)
+        return max(sum_a, sum_b), upper
+
+    @staticmethod
+    def abc_rest(t):
+        lower, upper = Literal.ab_rest(t)
+        c1_assistance = sum(t.casq(2, j) for j in [0, 1] + list(range(3, t.n_qubits)))
+        cs = range(2, t.n_qubits)
+        hub = t.csq(0, 2) + t.csq(1, 2)
+        hub += sum(t.csq(2, c) for c in cs if c != 2)
+        hub -= 2.0 * t.casq(0, 1)
+        hub -= sum(t.casq(0, c) + t.casq(1, c) for c in cs)
+        return lower - c1_assistance, hub, upper + c1_assistance
 
 
-def abc_rest_lower_diff(t):
-    return ab_rest_lower(t) - c1_assistance(t)
+# the entries whose values the two references round differently
+MOVED = {"ab_rest_lower", "ab_rest_upper", "abc_rest_lower_diff", "abc_rest_lower_diff_clamped",
+         "abc_rest_lower_hub", "abc_rest_lower_hub_clamped", "abc_rest_upper", "wclass_lower", "wclass_upper"}
 
 
-def abc_rest_lower_hub(t):
-    cs = range(2, t.n_qubits)
-    total = t.csq(0, 2) + t.csq(1, 2)
-    total += sum(t.csq(2, c) for c in cs if c != 2)
-    total -= 2.0 * t.casq(0, 1)
-    total -= sum(t.casq(0, c) + t.casq(1, c) for c in cs)
-    return total
+def wclass_chains(t, bounds=RowSums):
+    """(lower, mid, upper) of C^2(A_i A_j|rest) at each pair i < j: the AB|rest bounds with C^2 read for C_a^2."""
+    chains = []
+    for i in range(t.n_qubits):
+        for j in range(i + 1, t.n_qubits):
+            lower, upper = bounds.ab_rest(t, i, j, Row.csq)
+            chains.append((lower, t.cut_sq([i, j]), upper))
+    return chains
 
 
-def abc_rest_upper(t):
-    return ab_rest_upper(t) + c1_assistance(t)
-
-
-def wclass_chain(t, i, j):
-    return ab_rest_lower(t, i, j, Row.csq), t.cut_sq([i, j]), ab_rest_upper(t, i, j, Row.csq)
-
-
-def entries(t):
+def entries(t, bounds=RowSums):
     """``[(inequality, lhs, rhs)]`` of one state, in report order."""
     n = t.n_qubits
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     singles = {q: t.linear_entropy([q]) for q in range(n)}
     doubles = {(i, j): t.linear_entropy([i, j]) for i, j in pairs}
     mid_ab, a_sq, b_sq = t.cut_sq([0, 1]), t.cut_sq([0]), t.cut_sq([1])
+    ab_lower, ab_upper = bounds.ab_rest(t)
     out = []
 
     def add_worst(name, sides):
         """The (lhs, rhs) with the least slack, the first pair on ties."""
         out.append((name, *min(sides, key=lambda side: side[1] - side[0])))
 
-    out.append(("ab_rest_lower", ab_rest_lower(t), mid_ab))
-    out.append(("ab_rest_upper", mid_ab, ab_rest_upper(t)))
+    out.append(("ab_rest_lower", ab_lower, mid_ab))
+    out.append(("ab_rest_upper", mid_ab, ab_upper))
     out.append(("chain_lower", abs(a_sq - b_sq), mid_ab))
     out.append(("chain_upper", mid_ab, a_sq + b_sq))
     out.append(("dual_assist", a_sq, sum(t.casq(0, j) for j in range(1, n))))
@@ -111,17 +141,29 @@ def entries(t):
     add_worst("lin_entropy_upper", [(doubles[i, j], singles[i] + singles[j]) for i, j in pairs])
     if n >= 4:
         mid_abc = t.cut_sq([0, 1, 2])
-        diff, hub = abc_rest_lower_diff(t), abc_rest_lower_hub(t)
+        diff, hub, upper = bounds.abc_rest(t)
         out.append(("abc_rest_lower_diff", diff, mid_abc))
         out.append(("abc_rest_lower_diff_clamped", max(0.0, diff), mid_abc))
         out.append(("abc_rest_lower_hub", hub, mid_abc))
         out.append(("abc_rest_lower_hub_clamped", max(0.0, hub), mid_abc))
-        out.append(("abc_rest_upper", mid_abc, abc_rest_upper(t)))
+        out.append(("abc_rest_upper", mid_abc, upper))
     if is_weight1_supported(t.state):
-        chains = [wclass_chain(t, i, j) for i, j in pairs]
+        chains = wclass_chains(t, bounds)
         add_worst("wclass_lower", [(lower, mid) for lower, mid, _ in chains])
         add_worst("wclass_upper", [(mid, upper) for _, mid, upper in chains])
     return out
+
+
+def weight1_state(n, rng):
+    return wclass_state(np.sqrt(rng.dirichlet(np.ones(n))) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+
+
+def sparse_state(n, rng, labels):
+    """Complex Gaussian amplitudes on 2-4 of the given basis labels, where the bounds saturate."""
+    amps = np.zeros(2**n, dtype=complex)
+    support = rng.choice(labels, rng.integers(2, min(4, len(labels)) + 1), replace=False)
+    amps[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    return PureState(n, amps / np.linalg.norm(amps))
 
 
 def stack(n, count):
@@ -129,11 +171,26 @@ def stack(n, count):
     states = []
     for k in range(count):
         rng = np.random.default_rng([n, k])
-        if k % 3:
-            states.append(random_haar_state(n, rng))
-        else:
-            states.append(wclass_state(np.sqrt(rng.dirichlet(np.ones(n))) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))))
+        states.append(random_haar_state(n, rng) if k % 3 else weight1_state(n, rng))
     return states
+
+
+def mixed_stack(n, count):
+    """Haar, weight-1, sparse and sparse weight-1 states in turn."""
+    weight1_labels = [1 << q for q in range(n)]
+    families = [random_haar_state, weight1_state,
+                lambda n, rng: sparse_state(n, rng, np.arange(2**n)),
+                lambda n, rng: sparse_state(n, rng, weight1_labels)]
+    return [families[k % 4](n, np.random.default_rng([n, k, 4])) for k in range(count)]
+
+
+def stack_entries(table):
+    """``[(inequality, lhs, rhs)]`` of each state of a table, from the stack path."""
+    got = [[] for _ in table.states]
+    for name, (rows, lhs, rhs) in _entries(table).items():
+        for b, left, right in zip(rows.tolist(), lhs.tolist(), rhs.tolist()):
+            got[b].append((name, left, right))
+    return got
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -143,9 +200,30 @@ def test_stack_path_equals_per_state_sums(n):
     assert sum(name == "wclass_upper" for row in expected for name, _, _ in row) == 8
     for chunk in (1, 7, 64):
         for start in range(0, len(states), chunk):
-            table = MarginalTable(states[start:start + chunk])
-            got = [[] for _ in table.states]
-            for name, (rows, lhs, rhs) in _entries(table).items():
-                for b, left, right in zip(rows.tolist(), lhs.tolist(), rhs.tolist()):
-                    got[b].append((name, left, right))
+            got = stack_entries(MarginalTable(states[start:start + chunk]))
             assert got == expected[start:start + chunk], f"chunk {chunk} from state {start}"
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_stack_path_within_1e13_of_the_literal_sums(n):
+    states = mixed_stack(n, 24)
+    table = MarginalTable(states)
+    got = stack_entries(table)
+    lower, mid, upper = _wclass_chain(table)
+    for b, state in enumerate(states):
+        t = Row(state)
+        literal = entries(t, Literal)
+        assert [name for name, _, _ in got[b]] == [name for name, _, _ in literal]
+        for (name, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(got[b], literal):
+            if name not in MOVED:
+                assert (lhs, rhs) == (ref_lhs, ref_rhs), (name, b)
+            elif name.startswith("wclass"):
+                # the least slack may fall to another pair whose slack is within 1e-13
+                assert abs((rhs - lhs) - (ref_rhs - ref_lhs)) <= 1e-13, (name, b)
+            else:
+                assert abs(lhs - ref_lhs) <= 1e-13 and abs(rhs - ref_rhs) <= 1e-13, (name, b)
+        if is_weight1_supported(state):
+            ref_lower, ref_mid, ref_upper = zip(*wclass_chains(t, Literal))
+            assert mid[b].tolist() == list(ref_mid)
+            np.testing.assert_allclose(lower[b], ref_lower, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(upper[b], ref_upper, rtol=0, atol=1e-13)

@@ -223,9 +223,13 @@ class TestFuzz(OneFillPerChunk):
         monkeypatch.setattr(qmonogamy.cli, "CHUNK", 5)
         states = [random_haar_state(4, np.random.default_rng([seed, index])) for index in range(count)]
         hit = broken_rows({pair_table(states[index]) for index in failing})
-        hub = qmonogamy.monogamy._abc_rest_lower_hub
-        monkeypatch.setattr(qmonogamy.monogamy, "_abc_rest_lower_hub",
-                            lambda csq, casq: hub(csq, casq) + 10.0 * hit(casq))
+        grow = qmonogamy.monogamy._grow
+
+        def broken_grow(lower, upper, csq, casq, q):
+            diff, hub, abc_upper = grow(lower, upper, csq, casq, q)
+            return diff, hub + 10.0 * hit(casq), abc_upper
+
+        monkeypatch.setattr(qmonogamy.monogamy, "_grow", broken_grow)
         monkeypatch.chdir(tmp_path)
         assert main(["fuzz", "--qubits", "4", "--count", str(count), "--seed", str(seed),
                      "--out", "fuzz.json"]) == 2
@@ -298,8 +302,10 @@ class TestWclassScan(OneFillPerChunk):
     def test_bad_config_exits_one(self):
         assert main(["wclass-scan", "--n", "2", "--count", "1", "--seed", "0"]) == 1
 
-    def test_violations_exit_two_and_keep_every_row(self, tmp_path, monkeypatch, capsys):
-        # a broken upper side on four of ten states, two on each side of the chunk boundary at 4
+    @staticmethod
+    def scan_with_a_broken_side(tmp_path, monkeypatch, capsys, side, value):
+        """A scan whose chain reads ``value`` on one side (0 lower, 2 upper) for four of ten states,
+        two on each side of the chunk boundary at 4: it exits 2, counts the rows and keeps every row."""
         seed, count, failing = 6, 10, [2, 3, 4, 5]
         argv = ["wclass-scan", "--n", "3", "--count", str(count), "--seed", str(seed)]
         assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
@@ -310,9 +316,10 @@ class TestWclassScan(OneFillPerChunk):
         chain = qmonogamy.cli._wclass_chain
 
         def broken_chain(table):
-            lower, mid, upper = chain(table)
+            sides = list(chain(table))
             hit = np.array([state.amplitudes.tobytes() in broken for state in table.states])
-            return lower, mid, np.where(hit[:, None], -1.0, upper)
+            sides[side] = np.where(hit[:, None], value, sides[side])
+            return tuple(sides)
 
         monkeypatch.setattr(qmonogamy.cli, "CHUNK", 4)
         monkeypatch.setattr(qmonogamy.cli, "_wclass_chain", broken_chain)
@@ -322,12 +329,21 @@ class TestWclassScan(OneFillPerChunk):
         clean = (tmp_path / "clean.csv").read_text().splitlines()
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert len(lines) == len(clean) == 1 + 3 * count
+        moved = {2 + side, 5 + side // 2}  # the side's column and its gap's
         for row, (line, clean_line) in enumerate(zip(lines[1:], clean[1:])):
             if row // 3 in failing:
-                assert line.split(",")[:4] == clean_line.split(",")[:4]
-                assert line.split(",")[4] == "-1"
+                fields, clean_fields = line.split(","), clean_line.split(",")
+                assert fields[2 + side] == format(value, ".17g")
+                assert [f for k, f in enumerate(fields) if k not in moved] == \
+                    [f for k, f in enumerate(clean_fields) if k not in moved]
             else:
                 assert line == clean_line
+
+    def test_violations_exit_two_and_keep_every_row(self, tmp_path, monkeypatch, capsys):
+        self.scan_with_a_broken_side(tmp_path, monkeypatch, capsys, 2, -1.0)
+
+    def test_nan_gaps_are_violations(self, tmp_path, monkeypatch, capsys):
+        self.scan_with_a_broken_side(tmp_path, monkeypatch, capsys, 0, np.nan)
 
 
 class TestExitCodeContract:

@@ -80,9 +80,8 @@ def test_round_trip_bit_exact_with_signed_zeros_and_integers(n):
         # what complex(re, im) makes of the document, bit for bit
         reference = np.array([complex(re, im) for re, im in json.loads(text)["amplitudes"]])
         assert again.tobytes() == reference.tobytes()
-        # every amplitude comes back bit for bit, except that -0.0 is written "-0",
-        # which JSON reads as the integer 0; adding +0.0 maps -0.0 to +0.0 alone
-        assert again.tobytes() == (state.amplitudes + 0.0).tobytes()
+        # every amplitude comes back bit for bit, negative zeros included
+        assert again.tobytes() == state.amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity",

@@ -100,6 +100,12 @@ class TestPureStateInvariants:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_callers_array_stays_writeable(self):
+        amps = np.array([1.0, 0.0], dtype=complex)
+        state = PureState(1, amps)
+        amps[1] = 0.5
+        assert state.amplitudes.tolist() == [1.0, 0.0]
+
 
 class TestDensityMatrixInvariants:
     def test_non_finite_rejected(self):
@@ -133,6 +139,14 @@ class TestDensityMatrixInvariants:
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         dm = DensityMatrix((0,), m)
         assert dm.n_qubits == 1
+
+    def test_callers_array_stays_writeable(self):
+        m = np.diag([0.75, 0.25]).astype(complex)
+        dm = DensityMatrix((0,), m)
+        m[0, 1] = 0.5
+        assert dm.matrix.tolist() == [[0.75, 0.0], [0.0, 0.25]]
+        with pytest.raises(ValueError):
+            dm.matrix[0, 1] = 0.5
 
 
 class TestPartition:
