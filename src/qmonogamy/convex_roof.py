@@ -9,13 +9,17 @@ direct numerical evaluation of the convex-roof minimum or maximum.
 
 The search runs Haar-random restarts of sweeps over the row pairs of V.  Each
 step rotates one pair of rows by the 2x2 unitary that is exactly optimal for
-the pair's 2x2 block of ``V tau V^T``, found from that block's Takagi
-factorization (Uhlmann, PRA 62, 032307 (2000); Wootters, PRL 80, 2245
-(1998)).  The maximum takes the sum of moduli.  The minimum takes the sum of
-squared moduli: its global minimum is attained by the balanced decomposition
-that also attains the convex-roof minimum, and it is smooth where the plain
-sum has kinks.  Only local 2x2 blocks are factorized, never tau itself, whose
-Takagi values are the closed forms this oracle checks.
+the pair's 2x2 block of ``V tau V^T`` (Uhlmann, PRA 62, 032307 (2000);
+Wootters, PRL 80, 2245 (1998)).  That unitary is in closed form: an SU(2)
+rotation of the pair turns a complex 3-vector built from the block's three
+entries by a real rotation, and the optimal one takes a real axis read off
+that vector to e_z.  A step is thus a few elementwise operations over the
+restarts, with no LAPACK call.  The maximum takes the sum of moduli.  The
+minimum takes the sum of squared moduli: its global minimum is attained by
+the balanced decomposition that also attains the convex-roof minimum, and it
+is smooth where the plain sum has kinks.  Only local 2x2 blocks are
+factorized, never tau itself, whose Takagi values are the closed forms this
+oracle checks.
 
 The settings are fixed: 32 restarts of four-member ensembles, at most 60
 sweeps, stopping once each of the four restarts that score best on the swept
@@ -51,6 +55,7 @@ LEADERS = 4  # the best-scoring restarts the stop test waits for
 ENSEMBLE_SIZE = 4
 MAX_SWEEPS = 60
 STOP_GAIN = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -93,12 +98,9 @@ class EnsembleDecomposition:
 
 def _haar_isometries(count: int, m: int, r: int, rng) -> np.ndarray:
     z = rng.standard_normal((count, m, r)) + 1j * rng.standard_normal((count, m, r))
-    q, _ = np.linalg.qr(z)
-    return q
-
-
-# Takes diag(s1, s2) to a block with off-diagonal entries (s1 + s2) / 2.
-_BALANCE = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
+    q, r_ = np.linalg.qr(z)
+    d = np.diagonal(r_, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]  # Haar only once R's diagonal is made positive
 
 
 def _score(diag: np.ndarray, mode: str) -> np.ndarray:
@@ -111,39 +113,61 @@ def _score(diag: np.ndarray, mode: str) -> np.ndarray:
     return -(np.abs(diag) ** 2).sum(axis=-1)
 
 
-def _pair_unitaries(block: np.ndarray, mode: str) -> np.ndarray:
-    """Optimal 2x2 unitaries U for a stack of complex-symmetric 2x2 blocks B.
+def _pair_rotation(a, b, c, mode: str):
+    """The optimal pair step ``U = [[ch, conj(s)], [-s, ch]]`` for blocks ``[[a, b], [b, c]]``.
 
-    With the Takagi factorization B = W diag(s1, s2) W^T, ``U = W^H`` gives
-    ``|m_pp| + |m_qq| = s1 + s2`` in ``U B U^T``, the most any U gives, and
-    ``U = BALANCE W^H`` the largest ``|m_pq|``, ``(s1 + s2) / 2``, hence
-    (the Frobenius norm being fixed) the least ``|m_pp|^2 + |m_qq|^2``.
-    An eigenvector ``[x; y]`` of ``[[Re B, Im B], [Im B, -Re B]]`` (spectrum
-    ``+-s1, +-s2``) for eigenvalue s has ``B conj(w) = s w`` for
-    ``w = x + iy``; the two largest give a unitary W also when s1 = s2 or
-    s2 = 0.  That holds only for exactly symmetric B, so rounding asymmetry
-    is averaged out first.  A zero block keeps ``U = I``.
+    a, b and c are arrays over a stack of complex-symmetric 2x2 blocks B; ch
+    is real.  For U in SU(2), ``U B U^T = (U B sigma_y U^H) sigma_y``, so with
+    ``B sigma_y = w . sigma``, ``w = (i(c - a)/2, (a + c)/2, ib)``, U turns w
+    by a real rotation, and the new block is ``[[y + ix, -iz], [-iz, y - ix]]``
+    for the turned ``w = (x, y, z)``.  Phased by ``exp(-i arg(w . w)/2)``,
+    where ``w . w = det B``, w is p + iq with p and q real and orthogonal,
+    ``|p| = (s1 + s2)/2`` and ``|q| = (s1 - s2)/2`` for the Takagi values
+    s1 >= s2 of B.  Minimize turns p to e_z: then ``|m_pq| = (s1 + s2)/2``,
+    the most any U gives, hence (the Frobenius norm being fixed) the least
+    ``|m_pp|^2 + |m_qq|^2``.  Maximize turns p x q, or an axis normal to p
+    when q = 0, to e_z: the block becomes diagonal with
+    ``|m_pp| + |m_qq| = s1 + s2``, the most any U gives.  The U that turns a
+    unit r with r_z >= 0 to e_z has ``ch = sqrt((1 + r_z)/2)`` and
+    ``s = (r_x + i r_y)/(2 ch)``; turning -r serves as well, so r's sign is
+    flipped where r_z < 0.  Each block is first divided by |a| + |b| + |c|,
+    so tiny blocks do not underflow in the products; a zero block keeps
+    U = I.
     """
-    block = (block + block.swapaxes(-1, -2)) / 2
-    h = np.empty(block.shape[:-2] + (4, 4))
-    h[..., :2, :2] = block.real
-    h[..., :2, 2:] = block.imag
-    h[..., 2:, :2] = block.imag
-    h[..., 2:, 2:] = -block.real
-    _, vec = np.linalg.eigh(h)
-    u = (vec[..., :2, 2:] + 1j * vec[..., 2:, 2:]).conj().swapaxes(-1, -2)
+    size = np.abs(a) + np.abs(b) + np.abs(c)
+    zero = size == 0
+    # floored at the least normal float: dividing complex by real takes the reciprocal
+    size = np.maximum(size, _TINY)
+    a, b, c = a / size, b / size, c / size
+    phase = np.exp(-0.5j * np.angle(a * c - b * b))
+    x, y, z = phase * (0.5j * (c - a)), phase * (0.5 * (a + c)), phase * (1j * b)
+    px, py, pz = x.real, y.real, z.real
     if mode == "minimize":
-        u = _BALANCE @ u
-    u[~np.any(block, axis=(-2, -1))] = np.eye(2)
-    return u
+        nx, ny, nz = px, py, pz
+    else:
+        qx, qy, qz = x.imag, y.imag, z.imag
+        nx, ny, nz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+        flat = (nx == 0) & (ny == 0) & (nz == 0)
+        if flat.any():  # q = 0: p x e_x, or p x e_y where p is nearer e_x than e_y
+            use_x = np.abs(px) <= np.abs(py)
+            nx = np.where(flat, np.where(use_x, 0, -pz), nx)
+            ny = np.where(flat, np.where(use_x, pz, 0), ny)
+            nz = np.where(flat, np.where(use_x, -py, px), nz)
+    nz = nz + zero  # a zero block turns e_z to e_z
+    unit = np.copysign(1 / np.hypot(np.hypot(nx, ny), nz), nz)
+    ch = np.sqrt(0.5 + 0.5 * (nz * unit))
+    return ch, (nx * unit + 1j * (ny * unit)) / (2 * ch)
 
 
 def _sweep(v, tau, mode):
     """One exact optimizing step per row pair of V, vectorized over restarts."""
     for p in range(v.shape[1]):
         for q in range(p + 1, v.shape[1]):
-            w = v[:, [p, q]]
-            v[:, [p, q]] = _pair_unitaries(w @ tau @ w.swapaxes(1, 2), mode) @ w
+            vp, vq = v[:, p], v[:, q]
+            tp = vp @ tau
+            ch, s = _pair_rotation((tp * vp).sum(1), (tp * vq).sum(1), ((vq @ tau) * vq).sum(1), mode)
+            ch, s = ch[:, None], s[:, None]
+            v[:, p], v[:, q] = ch * vp + s.conj() * vq, ch * vq - s * vp
 
 
 def _diag(v, tau) -> np.ndarray:

@@ -19,7 +19,7 @@ from qmonogamy import (
     wootters_concurrence,
 )
 from qmonogamy.concurrence import SPIN_FLIP_YY, _cleaned_root
-from qmonogamy.convex_roof import LEADERS, STOP_GAIN, _diag, _haar_isometries, _pair_unitaries, _score, _sweep
+from qmonogamy.convex_roof import LEADERS, STOP_GAIN, _diag, _haar_isometries, _pair_rotation, _score, _sweep
 
 ORACLE_ATOL = 1e-3
 
@@ -206,29 +206,45 @@ def random_unitary(rng, k):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def unitaries(ch, s):
+    """The stack of ``U = [[ch, conj(s)], [-s, ch]]``."""
+    return np.stack([np.stack([ch, s.conj()], -1), np.stack([-s, ch + 0j], -1)], -2)
+
+
+def pair_steps(blocks, mode):
+    """U and U B U^T for a stack of blocks B; the step reads B's upper triangle."""
+    u = unitaries(*_pair_rotation(blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1], mode))
+    return u, u @ blocks @ u.swapaxes(1, 2)
+
+
 def pair_step(block, mode):
     """U and U B U^T for one block."""
-    u = _pair_unitaries(block[None], mode)[0]
-    return u, u @ block @ u.T
+    u, out = pair_steps(block[None], mode)
+    return u[0], out[0]
+
+
+def unitarity_error(u):
+    return np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(2)).max()
 
 
 def assert_pair_step_optimal(block):
     s1, s2 = np.linalg.svd(block, compute_uv=False)  # the Takagi values of a symmetric B
     atol = 1e-12 * max(1.0, s1)
     u, out = pair_step(block, "maximize")
-    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+    assert unitarity_error(u) <= 1e-14
     assert abs(out[0, 0]) + abs(out[1, 1]) == pytest.approx(s1 + s2, abs=atol)
     u, out = pair_step(block, "minimize")
-    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+    assert unitarity_error(u) <= 1e-14
     assert abs(out[0, 1]) == pytest.approx((s1 + s2) / 2, abs=atol)
     assert abs(out[0, 0]) ** 2 + abs(out[1, 1]) ** 2 == pytest.approx((s1 - s2) ** 2 / 2, abs=atol * max(1.0, s1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow and no 0/0, masked or not
 class TestPairStep:
     def test_zero_block_keeps_identity(self):
-        u = _pair_unitaries(np.zeros((3, 2, 2), dtype=complex), "minimize")
-        assert np.array_equal(u, np.broadcast_to(np.eye(2), (3, 2, 2)))
-        assert np.array_equal(_pair_unitaries(np.zeros((1, 2, 2), dtype=complex), "maximize")[0], np.eye(2))
+        for mode in ("minimize", "maximize"):
+            u = unitaries(*_pair_rotation(*np.zeros((3, 3), dtype=complex), mode))
+            assert np.array_equal(u, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
     def test_zero_blocks_leave_v_unchanged(self):
         v = _haar_isometries(5, 4, 2, np.random.default_rng(1))
@@ -253,13 +269,56 @@ class TestPairStep:
         assert np.linalg.svd(block, compute_uv=False) == pytest.approx([0.4, 0.4], abs=1e-14)
         assert_pair_step_optimal(block)
 
+    @pytest.mark.parametrize("block", [
+        np.exp(0.3j) * np.array([[0, 1], [1, 0]]),  # q = 0 with p along e_z
+        np.exp(2.1j) * np.array([[0, 1], [1, 0]]),
+        2 * np.eye(2, dtype=complex),  # q = 0 with p along e_y
+        np.array([[1, 0], [0, -1]], dtype=complex),  # q = 0 with p along e_x
+        np.array([[0, 1j], [1j, 0]]),  # p = -e_z: r_z = -1 before the sign flip
+        np.array([[1, 1e-160], [1e-160, 1]], dtype=complex),  # |p x q| ~ 1e-160
+        np.array([[2.1e-317 - 1.4e-317j, 0], [0, 0]]),  # subnormal, as rows of V decay
+    ])
+    def test_exact_degenerate_blocks(self, block):
+        assert_pair_step_optimal(block)
+
+    def test_tiny_block_steps_as_its_rescaled_copy(self):
+        block = random_symmetric_block(np.random.default_rng(4))
+        for mode in ("minimize", "maximize"):
+            u, _ = pair_step(block, mode)
+            u_tiny, out = pair_step(1e-170 * block, mode)
+            assert np.all(np.isfinite(u_tiny))
+            assert unitarity_error(u_tiny) <= 1e-14
+            assert np.abs(u_tiny - u).max() <= 1e-14
+
     def test_rounding_asymmetry_keeps_u_unitary(self):
         # a noise-level block of V tau V^T whose off-diagonal entries differ in
         # rounding by as much as the block's size
         block = 1e-17 * np.array([[-8.3 - 0.7j, -2.1 - 6.2j], [-2.8 - 5.6j, -12.5 + 4.1j]])
         for mode in ("minimize", "maximize"):
-            u = _pair_unitaries(block[None], mode)[0]
+            u = pair_step(block, mode)[0]
             assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+
+    def test_thousands_of_blocks_reach_the_takagi_bounds(self):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((4000, 2, 2)) + 1j * rng.standard_normal((4000, 2, 2))
+        blocks = (z + z.swapaxes(1, 2)) / 2 * 10.0 ** rng.uniform(-8, 2, (4000, 1, 1))
+        w = np.stack([random_unitary(rng, 2) for _ in range(600)])
+        blocks[:300] = 0.7 * np.einsum("si,sj->sij", w[:300, :, 0], w[:300, :, 0])  # rank one
+        blocks[300:600] = 0.4 * w[300:] @ w[300:].swapaxes(1, 2)  # equal Takagi values
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (100, 1, 1)))
+        blocks[600:700] = phases * np.array([[0, 1], [1, 0]])
+        blocks[700:800] = phases * np.eye(2)
+        blocks[800:850] = phases[:50] * np.array([[1, 0], [0, 0]])
+        blocks[850:900] = phases[50:] * np.array([[1, 0], [0, -1]])
+        blocks[900:910] = 0
+        s1, s2 = np.linalg.svd(blocks, compute_uv=False).T
+        atol = 1e-12 * np.maximum(1.0, s1)
+        u, out = pair_steps(blocks, "maximize")
+        assert unitarity_error(u) <= 1e-14
+        assert np.all(np.abs(np.abs(out[:, 0, 0]) + np.abs(out[:, 1, 1]) - (s1 + s2)) <= atol)
+        u, out = pair_steps(blocks, "minimize")
+        assert unitarity_error(u) <= 1e-14
+        assert np.all(np.abs(np.abs(out[:, 0, 1]) - (s1 + s2) / 2) <= atol)
 
     @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8, 2))
     @settings(max_examples=60, deadline=None)
@@ -303,6 +362,35 @@ def test_sweep_never_worsens_the_swept_objective(mode, rank):
             new = _score(diagonal(v, tau), mode)
             assert np.all(new >= score - 1e-12)
             score = new
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["minimize", "maximize"])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_sweep_makes_no_lapack_call(mode, rank, monkeypatch):
+    # the pair step is closed-form arithmetic; no decomposition runs inside the sweep loop
+    rng = np.random.default_rng(70 + rank)
+    tau = tau_matrix(random_two_qubit_mixed(rng, rank).matrix)
+    v = _haar_isometries(32, 4, rank, rng)
+    before = v.copy()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep called LAPACK")
+
+    with monkeypatch.context() as patch:
+        for name in ("eigh", "eigvalsh", "svd", "qr"):
+            patch.setattr(np.linalg, name, forbidden)
+        for _ in range(3):
+            _sweep(v, tau, mode)
+    assert not np.array_equal(v, before)
+    assert np.all(_score(diagonal(v, tau), mode) >= _score(diagonal(before, tau), mode) - 1e-12)
+
+
+def test_restarts_are_haar():
+    # QR's Q alone is not Haar: over these draws its mean V[0, 0] is about -0.29
+    v = _haar_isometries(20000, 4, 2, np.random.default_rng(6))
+    assert abs(v[:, 0, 0].mean()) < 0.02
+    assert np.allclose(v.conj().swapaxes(1, 2) @ v, np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["minimize", "maximize"])
