@@ -5,7 +5,7 @@ For a pure state split across a bipartition, the concurrence is
 of the convex-roof minimum (Wootters) and maximum (concurrence of assistance)
 are both functions of the same spectrum: the descending square roots
 ``lambda_i`` of the eigenvalues of ``rho @ spin_flip(rho)``: the singular
-values of the symmetric ``tau_jk = sqrt(mu_j mu_k) <e_j*|YY|e_k>`` on rho's support.
+values of the 4x4 ``tau_jk = sqrt(mu_j mu_k) <e_j*|YY|e_k>``, zero where mu_j or mu_k <= RANK_CUTOFF.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .states import PSD_FLOOR, TRACE_ATOL, DensityMatrix, Partition, PureState
+from .states import DensityMatrix, Partition, PureState, _check_floor, _check_trace, _integer
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP_YY = np.kron(SIGMA_Y, SIGMA_Y).real  # real symmetric 4x4
@@ -31,24 +31,16 @@ def spin_flip(dm: DensityMatrix) -> np.ndarray:
     return SPIN_FLIP_YY @ dm.matrix.conj() @ SPIN_FLIP_YY
 
 
-def _cleaned_root(matrix: np.ndarray):
-    """Eigenvectors scaled by sqrt of eigenvalues, zero modes dropped."""
-    w, u = np.linalg.eigh((matrix + matrix.conj().T) / 2)
-    keep = w > RANK_CUTOFF
-    return u[:, keep] * np.sqrt(w[keep])
+def _support_root(rho: np.ndarray):
+    """Eigenvalues of a stack of Hermitian matrices, and eigenvectors scaled by sqrt(mu), zero at or below RANK_CUTOFF."""
+    w, u = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    return w, u * np.sqrt(np.where(w > RANK_CUTOFF, w, 0.0))[..., None, :]
 
 
 def lambda_spectra(rho: np.ndarray):
     """Eigenvalues and descending lambda spectra of a stack ``(..., 4, 4)`` of two-qubit matrices."""
-    w, u = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
-    root = u * np.sqrt(np.where(w > RANK_CUTOFF, w, 0.0))[..., None, :]
-    rank = np.count_nonzero(w > RANK_CUTOFF, axis=-1)
-    l = np.zeros(w.shape)
-    # one batch per rank k: tau on the last k modes (eigh sorts ascending), as if alone
-    for k in set(rank.flat) - {0}:
-        b = root[rank == k][..., 4 - k :]
-        l[rank == k, :k] = np.linalg.svd(b.swapaxes(-1, -2) @ SPIN_FLIP_YY @ b, compute_uv=False)
-    return w, l
+    w, root = _support_root(rho)
+    return w, np.linalg.svd(root.swapaxes(-1, -2) @ SPIN_FLIP_YY @ root, compute_uv=False)
 
 
 def lambda_spectrum(dm: DensityMatrix) -> np.ndarray:
@@ -85,18 +77,12 @@ def pair_index(n: int) -> tuple:
     return pairs, i, j
 
 
-def _check_floor(eigenvalues: np.ndarray):
-    if eigenvalues.min() < PSD_FLOOR:
-        raise ValueError(f"marginal has eigenvalue {eigenvalues.min()} below the PSD noise floor")
-
-
 class MarginalTable:
     """The marginals of a stack of B pure states and the squared concurrences they give.
 
-    Each marginal is traced on first use, once for the stack, and checked as a
-    ``DensityMatrix`` is (trace, PSD floor).  ``pair_sq`` fills every pair with
-    one ``lambda_spectra`` call.  Every value of state b is what a stack of that
-    state alone gives, bit for bit.
+    Each marginal is traced on first use, once for the stack, and checked by the trace and
+    PSD-floor rules of ``DensityMatrix``.  ``pair_sq`` fills every pair with one ``eigh`` and one
+    ``svd`` over the stack; LAPACK factors each matrix on its own, so state b gets what it gets alone.
     """
 
     def __init__(self, states):
@@ -124,9 +110,7 @@ class MarginalTable:
         m = tensor.transpose(order).reshape(len(self.states), 2 ** len(keep), -1)
         rho = m @ m.conj().swapaxes(-1, -2)
         rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
-        off = float(abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max())
-        if off > TRACE_ATOL:
-            raise ValueError(f"marginal trace deviates from 1 by {off}, beyond tolerance")
+        _check_trace(rho)
         flat = rho.reshape(len(m), 1, -1)
         # a row-times-column matmul gives np.vdot's purity bit for bit; einsum does not
         self._purities[keep] = (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real
@@ -164,7 +148,7 @@ def concurrence_pure(state: PureState, partition: Partition) -> float:
 
 def pure_concurrence_sq(state: PureState, left) -> float:
     """Squared concurrence of ``left`` versus the remaining qubits."""
-    return float(MarginalTable([state]).cut_sq(left)[0, 0])
+    return float(MarginalTable([state]).cut_sq([_integer(q, "qubit index in left") for q in left])[0, 0])
 
 
 def three_tangle(state: PureState, focus: int) -> float:
@@ -174,7 +158,7 @@ def three_tangle(state: PureState, focus: int) -> float:
     """
     if state.n_qubits != 3:
         raise ValueError(f"three-tangle is defined for 3 qubits, got {state.n_qubits}")
-    if focus not in (0, 1, 2):
+    if _integer(focus, "focus") not in (0, 1, 2):
         raise ValueError(f"focus must be a qubit index in 0..2, got {focus}")
     table = MarginalTable([state])
     total = float(table.cut_sq([focus])[0, 0])

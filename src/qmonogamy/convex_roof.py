@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import SPIN_FLIP_YY, _cleaned_root
+from .concurrence import SPIN_FLIP_YY, _support_root
 from .states import DensityMatrix, PureState
 
 
@@ -188,7 +188,8 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
         raise ValueError(f"convex roof optimization is for 2-qubit states, got {dm.n_qubits}")
     rng = np.random.default_rng(seed)
 
-    basis = _cleaned_root(dm.matrix)  # columns sqrt(mu_j)|e_j> on the support
+    root = _support_root(dm.matrix)[1]
+    basis = root[:, root.any(axis=0)]  # the nonzero columns sqrt(mu_j)|e_j> span the support
     if basis.shape[1] == 1:
         psi = basis[:, 0] / np.linalg.norm(basis[:, 0])
         decomposition = EnsembleDecomposition(dm.qubit_labels, ((1.0, PureState(2, psi)),), 0, True)

@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .concurrence import MarginalTable, pair_index
-from .states import MAX_QUBITS, PureState
+from .states import MAX_QUBITS, PureState, _integer
 
 WEIGHT1_SUPPORT_ATOL = 1e-12
 DEFAULT_TOLERANCE = 1e-7
@@ -178,7 +178,7 @@ def wclass_bounds(state: PureState, i: int, j: int):
     states only: there every two-qubit marginal has C_a = C, so the bounds are
     sums of pair concurrences, and the lower one is |sum_k C^2_ik - C^2_jk|.
     """
-    n = state.n_qubits
+    n, i, j = state.n_qubits, _integer(i, "i"), _integer(j, "j")
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
     if not is_weight1_supported(state):

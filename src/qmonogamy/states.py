@@ -25,13 +25,30 @@ NORM_ATOL = TRACE_ATOL / 4
 PSD_FLOOR = -1e-10
 
 
+def _integer(x, name: str) -> int:
+    """``x`` as an ``int``; a float or a boolean is no integer, even if integral."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _qubit_count(n, name: str) -> int:
-    """``n`` as an ``int`` in [1, MAX_QUBITS]; a float or a boolean is no count, even if integral."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_QUBITS:
+    """``n`` as an ``int`` in [1, MAX_QUBITS]."""
+    if not 1 <= _integer(n, name) <= MAX_QUBITS:
         raise ValueError(f"{name} must be in [1, {MAX_QUBITS}], got {n}")
     return int(n)
+
+
+def _check_trace(rho):
+    # the real and imaginary parts side by side: |Re tr - 1| and |Im tr| each within TRACE_ATOL
+    off = np.abs((rho.trace(axis1=-2, axis2=-1) - 1.0).view(float)).max()
+    if off > TRACE_ATOL:
+        raise ValueError(f"trace deviates from 1 by {off}, beyond tolerance")
+
+
+def _check_floor(eigenvalues):
+    if eigenvalues.min() < PSD_FLOOR:
+        raise ValueError(f"eigenvalue {eigenvalues.min()} below the PSD noise floor")
 
 
 @dataclass(frozen=True)
@@ -71,7 +88,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(int(q) for q in self.qubit_labels)
+        labels = tuple(_integer(q, "qubit label") for q in self.qubit_labels)
         if len(labels) == 0 or len(set(labels)) != len(labels):
             raise ValueError("qubit_labels must be non-empty and distinct")
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writeable
@@ -82,11 +99,8 @@ class DensityMatrix:
             raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TRACE_ATOL or abs(np.trace(m).imag) > TRACE_ATOL:
-            raise ValueError(f"trace {np.trace(m)} deviates from 1 beyond tolerance")
-        eigmin = float(np.linalg.eigvalsh(m)[0])
-        if eigmin < PSD_FLOOR:
-            raise ValueError(f"matrix has eigenvalue {eigmin} below the PSD noise floor")
+        _check_trace(m[None])
+        _check_floor(np.linalg.eigvalsh(m))
         m.flags.writeable = False
         object.__setattr__(self, "qubit_labels", labels)
         object.__setattr__(self, "matrix", m)
@@ -104,8 +118,8 @@ class Partition:
     right: frozenset
 
     def __post_init__(self):
-        left = frozenset(int(q) for q in self.left)
-        right = frozenset(int(q) for q in self.right)
+        left = frozenset(_integer(q, "qubit index in left") for q in self.left)
+        right = frozenset(_integer(q, "qubit index in right") for q in self.right)
         if not left or not right:
             raise ValueError("both sides of a partition must be non-empty")
         if left & right:
@@ -143,7 +157,7 @@ def partial_trace(state_or_dm: Union[PureState, DensityMatrix], keep: Iterable) 
     ``keep`` uses the original qubit indices of the input; the result is
     labeled by ``sorted(keep)``.
     """
-    keep = sorted(int(q) for q in keep)
+    keep = sorted(_integer(q, "qubit index in keep") for q in keep)
     if not keep:
         raise ValueError("keep set must be non-empty")
     if len(set(keep)) != len(keep):

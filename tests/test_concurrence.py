@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from qmonogamy import (
     DensityMatrix,
     Partition,
+    PureState,
     concurrence_of_assistance,
     concurrence_pure,
     lambda_spectrum,
@@ -16,6 +17,7 @@ from qmonogamy import (
     three_tangle,
     wootters_concurrence,
 )
+from qmonogamy.concurrence import RANK_CUTOFF, lambda_spectra
 
 SQRT2 = np.sqrt(2)
 
@@ -171,6 +173,33 @@ class TestConcurrenceOfAssistance:
         lam = lambda_spectrum(dm)
         assert np.all(lam >= 0)
         assert np.all(np.diff(lam) <= 1e-15)
+
+
+class TestLambdaSpectra:
+    def test_rank_mixed_stack_rows_equal_their_lone_spectra(self):
+        rng = np.random.default_rng(16)
+        haar = random_haar_state(4, rng)
+        # no amplitude on |..11>: qubits 2 and 3 span three states, so pair (0, 1) has rank 3
+        cut = haar.amplitudes * (np.arange(16) % 4 != 3)
+        product = state_from_basis_terms(4, [("0000", 1), ("0100", 1j)])
+        bell_pair = state_from_basis_terms(4, [("0000", 1), ("1100", 1)])
+        marginals = [
+            (partial_trace(haar, [0, 1]), 4),
+            (partial_trace(product, [0, 1]), 1),
+            (partial_trace(ghz(4), [1, 3]), 2),
+            (partial_trace(bell_pair, [0, 1]), 1),
+            (partial_trace(PureState(4, cut / np.linalg.norm(cut)), [0, 1]), 3),
+            (partial_trace(w_state(4), [0, 2]), 2),
+            (partial_trace(bell_pair, [0, 2]), 2),
+            (partial_trace(haar, [1, 2]), 4),
+        ]
+        stack = np.stack([dm.matrix for dm, _ in marginals])
+        w, l = lambda_spectra(stack)
+        assert [int(np.count_nonzero(row > RANK_CUTOFF)) for row in w] == [rank for _, rank in marginals]
+        for k, (dm, rank) in enumerate(marginals):
+            alone_w, alone_l = lambda_spectra(dm.matrix)
+            assert np.array_equal(w[k], alone_w) and np.array_equal(l[k], alone_l)
+            assert np.all(l[k, rank:] == 0)
 
 
 class TestThreeTangle:

@@ -18,7 +18,7 @@ from qmonogamy import (
     state_from_basis_terms,
     wootters_concurrence,
 )
-from qmonogamy.concurrence import SPIN_FLIP_YY, _cleaned_root
+from qmonogamy.concurrence import SPIN_FLIP_YY, _support_root
 from qmonogamy.convex_roof import LEADERS, STOP_GAIN, _diag, _haar_isometries, _pair_rotation, _score, _sweep
 
 ORACLE_ATOL = 1e-3
@@ -31,7 +31,8 @@ def diagonal(v, tau):
 
 def tau_matrix(matrix):
     """The oracle's symmetric tau on the support of ``matrix``."""
-    basis = _cleaned_root(matrix)
+    root = _support_root(matrix)[1]
+    basis = root[:, root.any(axis=0)]
     return basis.T @ SPIN_FLIP_YY @ basis
 
 

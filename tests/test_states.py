@@ -8,11 +8,44 @@ from qmonogamy import (
     PureState,
     linear_entropy,
     partial_trace,
+    pure_concurrence_sq,
     random_haar_state,
     state_from_basis_terms,
+    three_tangle,
+    wclass_bounds,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
+
+
+HAAR3 = random_haar_state(3, 1)
+W3 = state_from_basis_terms(3, [("100", 1), ("010", 2), ("001", 3)])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: partial_trace(HAAR3, [1.9]), id="partial_trace-float"),
+    pytest.param(lambda: partial_trace(HAAR3, [True, 2]), id="partial_trace-bool"),
+    pytest.param(lambda: Partition(frozenset({0.5}), frozenset({1, 2})), id="Partition-float"),
+    pytest.param(lambda: DensityMatrix((0.7,), np.eye(2) / 2), id="DensityMatrix-float"),
+    pytest.param(lambda: pure_concurrence_sq(HAAR3, [True]), id="pure_concurrence_sq-bool"),
+    pytest.param(lambda: wclass_bounds(W3, True, 2), id="wclass_bounds-bool"),
+    pytest.param(lambda: wclass_bounds(W3, 0.5, 1), id="wclass_bounds-float"),
+    pytest.param(lambda: three_tangle(HAAR3, True), id="three_tangle-bool"),
+    pytest.param(lambda: three_tangle(HAAR3, 1.0), id="three_tangle-float"),
+    pytest.param(lambda: partial_trace(HAAR3, [np.True_]), id="partial_trace-numpy-bool"),
+])
+def test_non_integer_qubit_index_rejected(call):
+    # a float or a boolean is no qubit index, even if it compares equal to one
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_qubit_indices_accepted():
+    assert partial_trace(HAAR3, [np.int64(2), np.uint8(0)]).qubit_labels == (0, 2)
+    assert Partition(frozenset({np.intp(0)}), frozenset({1, 2})).left == frozenset({0})
+    assert three_tangle(HAAR3, np.int32(1)) == pytest.approx(three_tangle(HAAR3, 1), abs=1e-12)
+    assert wclass_bounds(W3, np.int64(0), np.int64(2)) == wclass_bounds(W3, 0, 2)
+    assert pure_concurrence_sq(HAAR3, [np.int16(1)]) == pure_concurrence_sq(HAAR3, [1])
 
 
 class TestStateFromBasisTerms:
