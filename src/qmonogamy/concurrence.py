@@ -33,12 +33,12 @@ def spin_flip(dm: DensityMatrix) -> np.ndarray:
 
 def _support_root(rho: np.ndarray):
     """Eigenvalues of a stack of Hermitian matrices, and eigenvectors scaled by sqrt(mu), zero at or below RANK_CUTOFF."""
-    w, u = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    w, u = np.linalg.eigh(rho)
     return w, u * np.sqrt(np.where(w > RANK_CUTOFF, w, 0.0))[..., None, :]
 
 
 def lambda_spectra(rho: np.ndarray):
-    """Eigenvalues and descending lambda spectra of a stack ``(..., 4, 4)`` of two-qubit matrices."""
+    """Eigenvalues and descending lambda spectra of a stack ``(..., 4, 4)`` of Hermitian two-qubit matrices."""
     w, root = _support_root(rho)
     return w, np.linalg.svd(root.swapaxes(-1, -2) @ SPIN_FLIP_YY @ root, compute_uv=False)
 
@@ -47,7 +47,8 @@ def lambda_spectrum(dm: DensityMatrix) -> np.ndarray:
     """Descending lambda_i, padded with zeros to length 4."""
     if dm.n_qubits != 2:
         raise ValueError(f"lambda spectrum is defined for 2 qubits, got {dm.n_qubits}")
-    return lambda_spectra(dm.matrix)[1]
+    # a DensityMatrix is Hermitian within HERMITICITY_ATOL; table marginals are exactly so
+    return lambda_spectra((dm.matrix + dm.matrix.conj().T) / 2)[1]
 
 
 def _wootters(l: np.ndarray) -> np.ndarray:

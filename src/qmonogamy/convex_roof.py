@@ -7,9 +7,18 @@ of that decomposition is ``sum_i |(V tau V^T)_ii|`` with the symmetric tau
 matrix from :mod:`qmonogamy.concurrence`, so optimizing over isometries is a
 direct numerical evaluation of the convex-roof minimum or maximum.
 
-The search runs Haar-random restarts of sweeps over the row pairs of V.  Each
-step rotates one pair of rows by the 2x2 unitary that is exactly optimal for
-the pair's 2x2 block of ``V tau V^T`` (Uhlmann, PRA 62, 032307 (2000);
+The search runs Haar-random restarts of sweeps over the row pairs of V.  A
+sweep steps the pairs in cyclic order (0, 1), (0, 2), ..., (m - 2, m - 1),
+started at (0, 2).  One (0, 1) step on the restarts opens the order, so they
+take the steps of sweeps started at (0, 1), each sweep ending on the next
+one's opening step.  Steps on disjoint rows commute exactly, so a step that
+shares no row with the round before it joins that round, and each round runs
+as one vectorized step.  A four-member sweep is the four rounds
+(0, 2) | (0, 3) + (1, 2) | (1, 3) | (2, 3) + (0, 1), with the bits of the six
+steps taken one by one.
+
+Each step rotates one pair of rows by the 2x2 unitary that is exactly optimal
+for the pair's 2x2 block of ``V tau V^T`` (Uhlmann, PRA 62, 032307 (2000);
 Wootters, PRL 80, 2245 (1998)).  That unitary is in closed form: an SU(2)
 rotation of the pair turns a complex 3-vector built from the block's three
 entries by a real rotation, and the optimal one takes a real axis read off
@@ -29,6 +38,7 @@ objective gains less than 1e-9 in a sweep; the best restart is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -159,20 +169,48 @@ def _pair_rotation(a, b, c, mode: str):
     return ch, (nx * unit + 1j * (ny * unit)) / (2 * ch)
 
 
+@cache
+def _rounds(m: int) -> tuple:
+    """The row pairs of an m-row isometry in sweep order, grouped into rounds of disjoint pairs.
+
+    The order is cyclic, started at (0, 2), and a pair joins the round before it when it
+    shares no row with that round (see the module docstring).  Each round is two read-only
+    index arrays: the first and the second rows of its pairs.
+    """
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+    rounds = []
+    for p, q in pairs[1:] + pairs[:1]:
+        if rounds and not {p, q} & set(rounds[-1][0] + rounds[-1][1]):
+            rounds[-1][0].append(p)
+            rounds[-1][1].append(q)
+        else:
+            rounds.append(([p], [q]))
+    out = tuple((np.array(ps), np.array(qs)) for ps, qs in rounds)
+    for ps, qs in out:
+        ps.flags.writeable = qs.flags.writeable = False
+    return out
+
+
+def _step(v, p, q, tau, mode):
+    """The exact optimizing step on the disjoint row pairs (p[i], q[i]) of V, vectorized over restarts and pairs."""
+    rows = v.swapaxes(0, 1)  # (m, S, r): the pairs' rows gather as (k, S, r) blocks
+    vp, vq = rows[p], rows[q]
+    tp = vp @ tau
+    a, b, c = (tp * vp).sum(-1), (tp * vq).sum(-1), ((vq @ tau) * vq).sum(-1)
+    ch, s = _pair_rotation(a.ravel(), b.ravel(), c.ravel(), mode)  # 1-D: the cheapest ufunc loops
+    ch, s = ch.reshape(a.shape + (1,)), s.reshape(a.shape + (1,))
+    rows[p], rows[q] = ch * vp + s.conj() * vq, ch * vq - s * vp
+
+
 def _sweep(v, tau, mode):
-    """One exact optimizing step per row pair of V, vectorized over restarts."""
-    for p in range(v.shape[1]):
-        for q in range(p + 1, v.shape[1]):
-            vp, vq = v[:, p], v[:, q]
-            tp = vp @ tau
-            ch, s = _pair_rotation((tp * vp).sum(1), (tp * vq).sum(1), ((vq @ tau) * vq).sum(1), mode)
-            ch, s = ch[:, None], s[:, None]
-            v[:, p], v[:, q] = ch * vp + s.conj() * vq, ch * vq - s * vp
+    """One exact optimizing step per row pair of V, one vectorized step per round."""
+    for p, q in _rounds(v.shape[1]):
+        _step(v, p, q, tau, mode)
 
 
 def _diag(v, tau) -> np.ndarray:
     """The diagonal of V tau V^T over a stack of isometries V (last axis)."""
-    return np.einsum("sir,rt,sit->si", v, tau, v)
+    return ((v.reshape(-1, v.shape[-1]) @ tau).reshape(v.shape) * v).sum(-1)
 
 
 def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
@@ -188,7 +226,7 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
         raise ValueError(f"convex roof optimization is for 2-qubit states, got {dm.n_qubits}")
     rng = np.random.default_rng(seed)
 
-    root = _support_root(dm.matrix)[1]
+    root = _support_root((dm.matrix + dm.matrix.conj().T) / 2)[1]  # Hermitian within tolerance only
     basis = root[:, root.any(axis=0)]  # the nonzero columns sqrt(mu_j)|e_j> span the support
     if basis.shape[1] == 1:
         psi = basis[:, 0] / np.linalg.norm(basis[:, 0])
@@ -198,6 +236,7 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
     tau = basis.T @ SPIN_FLIP_YY @ basis  # the tau of concurrence.lambda_spectra
 
     v = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)
+    _step(v, [0], [1], tau, mode)  # opens the cyclic order; the sweeps continue it from (0, 2)
     score = _score(_diag(v, tau), mode)
     for sweeps in range(1, MAX_SWEEPS + 1):
         _sweep(v, tau, mode)

@@ -91,6 +91,8 @@ class DensityMatrix:
         labels = tuple(_integer(q, "qubit label") for q in self.qubit_labels)
         if len(labels) == 0 or len(set(labels)) != len(labels):
             raise ValueError("qubit_labels must be non-empty and distinct")
+        if any(q < 0 for q in labels):
+            raise ValueError("qubit labels must be non-negative")
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writeable
         dim = 2 ** len(labels)
         if m.shape != (dim, dim):

@@ -19,7 +19,18 @@ from qmonogamy import (
     wootters_concurrence,
 )
 from qmonogamy.concurrence import SPIN_FLIP_YY, _support_root
-from qmonogamy.convex_roof import LEADERS, STOP_GAIN, _diag, _haar_isometries, _pair_rotation, _score, _sweep
+from qmonogamy.convex_roof import (
+    ENSEMBLE_SIZE,
+    LEADERS,
+    RESTARTS,
+    STOP_GAIN,
+    _diag,
+    _haar_isometries,
+    _pair_rotation,
+    _rounds,
+    _score,
+    _sweep,
+)
 
 ORACLE_ATOL = 1e-3
 
@@ -31,7 +42,7 @@ def diagonal(v, tau):
 
 def tau_matrix(matrix):
     """The oracle's symmetric tau on the support of ``matrix``."""
-    root = _support_root(matrix)[1]
+    root = _support_root((matrix + matrix.conj().T) / 2)[1]
     basis = root[:, root.any(axis=0)]
     return basis.T @ SPIN_FLIP_YY @ basis
 
@@ -385,6 +396,78 @@ def test_sweep_makes_no_lapack_call(mode, rank, monkeypatch):
             _sweep(v, tau, mode)
     assert not np.array_equal(v, before)
     assert np.all(_score(diagonal(v, tau), mode) >= _score(diagonal(before, tau), mode) - 1e-12)
+
+
+def cyclic_pairs(m):
+    """The row pairs (0, 1), (0, 2), ..., (m - 2, m - 1), started one step later, at (0, 2)."""
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+    return pairs[1:] + pairs[:1]
+
+
+def round_pairs(m):
+    return [[(int(p), int(q)) for p, q in zip(ps, qs)] for ps, qs in _rounds(m)]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_rounds_step_every_pair_once_in_cyclic_order(m):
+    rounds = round_pairs(m)
+    assert [pair for r in rounds for pair in r] == cyclic_pairs(m)
+    for r in rounds:
+        rows = [row for pair in r for row in pair]
+        assert len(set(rows)) == len(rows)  # a round's pairs share no row
+
+
+def test_four_members_sweep_in_four_rounds():
+    assert round_pairs(4) == [[(0, 2)], [(0, 3), (1, 2)], [(1, 3)], [(2, 3), (0, 1)]]
+
+
+def sequential_steps(v, tau, mode, pairs):
+    """One step per row pair in ``pairs``, a pair at a time."""
+    for p, q in pairs:
+        vp, vq = v[:, p], v[:, q]
+        tp = vp @ tau
+        ch, s = _pair_rotation((tp * vp).sum(1), (tp * vq).sum(1), ((vq @ tau) * vq).sum(1), mode)
+        ch, s = ch[:, None], s[:, None]
+        v[:, p], v[:, q] = ch * vp + s.conj() * vq, ch * vq - s * vp
+
+
+@pytest.mark.parametrize("mode", ["minimize", "maximize"])
+@pytest.mark.parametrize("rank, m", [(r, m) for m in (3, 4, 5, 8) for r in (2, 3, 4) if r <= m])
+def test_fused_sweep_equals_sequential_steps(mode, rank, m):
+    # steps on disjoint rows commute exactly, so fusing them moves no bit
+    rng = np.random.default_rng(90 + 10 * rank + m)
+    tau = tau_matrix(random_two_qubit_mixed(rng, rank).matrix)
+    v = _haar_isometries(32, m, rank, rng)
+    reference = v.copy()
+    for _ in range(10):
+        _sweep(v, tau, mode)
+        sequential_steps(reference, tau, mode, cyclic_pairs(m))
+        assert np.array_equal(v, reference)
+
+
+@pytest.mark.parametrize("mode", ["minimize", "maximize"])
+def test_restarts_take_the_steps_of_sweeps_started_at_0_1(mode, monkeypatch):
+    # the opening (0, 1) step and the sweeps started at (0, 2) step the restarts through
+    # the sweeps started at (0, 1), one pair at a time, bit for bit
+    seen = []
+    sweep = qmonogamy.convex_roof._sweep
+
+    def recording(v, tau, mode_):
+        seen.append(v.copy())
+        sweep(v, tau, mode_)
+
+    monkeypatch.setattr(qmonogamy.convex_roof, "_sweep", recording)
+    dm = random_two_qubit_mixed(np.random.default_rng(61), 3)
+    convex_roof_optimize(dm, mode, seed=5)
+    assert len(seen) > 2
+    tau = tau_matrix(dm.matrix)
+    v = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, 3, np.random.default_rng(5))
+    pairs = [(p, q) for p in range(ENSEMBLE_SIZE) for q in range(p + 1, ENSEMBLE_SIZE)]
+    for before in seen:
+        opened = v.copy()
+        sequential_steps(opened, tau, mode, pairs[:1])
+        assert np.array_equal(before, opened)
+        sequential_steps(v, tau, mode, pairs)
 
 
 def test_restarts_are_haar():

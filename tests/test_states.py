@@ -150,6 +150,12 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="non-empty and distinct"):
             DensityMatrix(labels, np.eye(2, dtype=complex) / 2)
 
+    @pytest.mark.parametrize("labels", [(-3, 7), (-1,)])
+    def test_negative_labels_rejected(self, labels):
+        # labels name qubits of the original system, as Partition's indices do
+        with pytest.raises(ValueError, match="qubit labels must be non-negative"):
+            DensityMatrix(labels, np.eye(2 ** len(labels), dtype=complex) / 2 ** len(labels))
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="must be 4x4"):
             DensityMatrix((0, 1), np.eye(2, dtype=complex) / 2)
