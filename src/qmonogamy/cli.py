@@ -53,8 +53,7 @@ def _emit(text: str, out: str | None):
 def cmd_check(args) -> int:
     state = read_state_file(args.state_file)
     if state.n_qubits < 3:
-        print("error [qubits]: bound checking needs at least 3 qubits", file=sys.stderr)
-        return 1
+        raise StateFileError("qubits", "bound checking needs at least 3 qubits")
     report = evaluate_all(state, tolerance=args.tolerance, state_id=str(args.state_file))
     text = _entries_csv(report.entries) if args.format == "csv" else json.dumps(report.to_dict(), indent=2) + "\n"
     _emit(text, args.out)

@@ -14,7 +14,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .states import DensityMatrix, Partition, PureState, _check_floor, _check_trace, _integer
+from .states import DensityMatrix, Partition, PureState, _admit, _check_floor, _integer
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP_YY = np.kron(SIGMA_Y, SIGMA_Y).real  # real symmetric 4x4
@@ -47,8 +47,7 @@ def lambda_spectrum(dm: DensityMatrix) -> np.ndarray:
     """Descending lambda_i, padded with zeros to length 4."""
     if dm.n_qubits != 2:
         raise ValueError(f"lambda spectrum is defined for 2 qubits, got {dm.n_qubits}")
-    # a DensityMatrix is Hermitian within HERMITICITY_ATOL; table marginals are exactly so
-    return lambda_spectra((dm.matrix + dm.matrix.conj().T) / 2)[1]
+    return lambda_spectra(dm.matrix)[1]
 
 
 def _wootters(l: np.ndarray) -> np.ndarray:
@@ -81,8 +80,8 @@ def pair_index(n: int) -> tuple:
 class MarginalTable:
     """The marginals of a stack of B pure states and the squared concurrences they give.
 
-    Each marginal is traced on first use, once for the stack, and checked by the trace and
-    PSD-floor rules of ``DensityMatrix``.  ``pair_sq`` fills every pair with one ``eigh`` and one
+    Each marginal is traced on first use, once for the stack, and admitted as ``DensityMatrix``
+    admits a matrix: trace rule, Hermitian part, PSD floor.  ``pair_sq`` fills every pair with one ``eigh`` and one
     ``svd`` over the stack; LAPACK factors each matrix on its own, so state b gets what it gets alone.
     """
 
@@ -109,9 +108,7 @@ class MarginalTable:
         order = [0] + [1 + q for q in keep] + [1 + q for q in range(self.n_qubits) if q not in keep]
         tensor = self.amplitudes.reshape((-1,) + (2,) * self.n_qubits)
         m = tensor.transpose(order).reshape(len(self.states), 2 ** len(keep), -1)
-        rho = m @ m.conj().swapaxes(-1, -2)
-        rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
-        _check_trace(rho)
+        rho = _admit(m @ m.conj().swapaxes(-1, -2))
         flat = rho.reshape(len(m), 1, -1)
         # a row-times-column matmul gives np.vdot's purity bit for bit; einsum does not
         self._purities[keep] = (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real

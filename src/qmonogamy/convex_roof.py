@@ -226,7 +226,7 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
         raise ValueError(f"convex roof optimization is for 2-qubit states, got {dm.n_qubits}")
     rng = np.random.default_rng(seed)
 
-    root = _support_root((dm.matrix + dm.matrix.conj().T) / 2)[1]  # Hermitian within tolerance only
+    root = _support_root(dm.matrix)[1]
     basis = root[:, root.any(axis=0)]  # the nonzero columns sqrt(mu_j)|e_j> span the support
     if basis.shape[1] == 1:
         psi = basis[:, 0] / np.linalg.norm(basis[:, 0])

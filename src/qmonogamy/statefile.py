@@ -13,11 +13,11 @@ import json
 
 import numpy as np
 
-from .states import MAX_QUBITS, PureState
+from .states import MAX_QUBITS, NORM_BOUND, PureState
 
 
 class StateFileError(ValueError):
-    """Rejected state document; ``code`` is one of parse / length / finite / normalization."""
+    """Rejected state document; ``code`` is one of parse / length / finite / normalization / qubits."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -66,8 +66,9 @@ def parse_state(text: str) -> PureState:
     if not np.all(np.isfinite(amps)):
         raise StateFileError("finite", "amplitudes must be finite numbers, not NaN or Infinity")
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-6:
-        raise StateFileError("normalization", f"norm {norm} deviates from 1 by more than 1e-6")
+    if abs(norm - 1.0) > NORM_BOUND:
+        bound = np.format_float_scientific(NORM_BOUND, trim="-", exp_digits=1)  # 1e-6, not 1e-06
+        raise StateFileError("normalization", f"norm {norm} deviates from 1 by more than {bound}")
     # PureState renormalizes only when the deviation exceeds its own strict
     # tolerance, so clean documents round-trip bit-for-bit.
     return PureState(n, amps)

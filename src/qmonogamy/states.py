@@ -23,6 +23,7 @@ TRACE_ATOL = 1e-12
 # given must stay within TRACE_ATOL / 4, leaving half of TRACE_ATOL for rounding.
 NORM_ATOL = TRACE_ATOL / 4
 PSD_FLOOR = -1e-10
+NORM_BOUND = 1e-6  # a state norm further than this from 1 is rejected, not renormalized
 
 
 def _integer(x, name: str) -> int:
@@ -39,11 +40,13 @@ def _qubit_count(n, name: str) -> int:
     return int(n)
 
 
-def _check_trace(rho):
+def _admit(rho):
+    """The Hermitian part (rho + rho^H)/2 of a stack of matrices whose traces, as given, pass the trace rule."""
     # the real and imaginary parts side by side: |Re tr - 1| and |Im tr| each within TRACE_ATOL
     off = np.abs((rho.trace(axis1=-2, axis2=-1) - 1.0).view(float)).max()
     if off > TRACE_ATOL:
         raise ValueError(f"trace deviates from 1 by {off}, beyond tolerance")
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def _check_floor(eigenvalues):
@@ -66,7 +69,7 @@ class PureState:
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > NORM_BOUND:
             raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
         if abs(norm - 1.0) > NORM_ATOL:
             amps = amps / norm
@@ -80,7 +83,8 @@ class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite matrix over labeled qubits.
 
     ``qubit_labels`` records which qubits of the original system the rows and
-    columns refer to, in ascending order.  Eigenvalues down to ``PSD_FLOOR``
+    columns refer to, in ascending order.  ``matrix`` is stored as the exactly
+    Hermitian part of the given one.  Eigenvalues down to ``PSD_FLOOR``
     are tolerated as numerical noise; anything more negative is rejected.
     """
 
@@ -93,6 +97,8 @@ class DensityMatrix:
             raise ValueError("qubit_labels must be non-empty and distinct")
         if any(q < 0 for q in labels):
             raise ValueError("qubit labels must be non-negative")
+        if list(labels) != sorted(labels):
+            raise ValueError("qubit labels must be in ascending order")
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writeable
         dim = 2 ** len(labels)
         if m.shape != (dim, dim):
@@ -101,7 +107,7 @@ class DensityMatrix:
             raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        _check_trace(m[None])
+        m = _admit(m[None])[0]
         _check_floor(np.linalg.eigvalsh(m))
         m.flags.writeable = False
         object.__setattr__(self, "qubit_labels", labels)
@@ -174,9 +180,7 @@ def partial_trace(state_or_dm: Union[PureState, DensityMatrix], keep: Iterable) 
         tensor = state_or_dm.amplitudes.reshape((2,) * n)
         tensor = np.moveaxis(tensor, keep + drop, range(n))
         m = tensor.reshape(2 ** len(keep), 2 ** len(drop))
-        rho = m @ m.conj().T
-        rho = (rho + rho.conj().T) / 2
-        return DensityMatrix(tuple(keep), rho)
+        return DensityMatrix(tuple(keep), m @ m.conj().T)
 
     if isinstance(state_or_dm, DensityMatrix):
         labels = state_or_dm.qubit_labels
@@ -190,9 +194,7 @@ def partial_trace(state_or_dm: Union[PureState, DensityMatrix], keep: Iterable) 
         for pos in sorted(drop_pos, reverse=True):
             tensor = np.trace(tensor, axis1=pos, axis2=pos + remaining)
             remaining -= 1
-        rho = tensor.reshape(2**remaining, 2**remaining)
-        rho = (rho + rho.conj().T) / 2
-        return DensityMatrix(tuple(keep), rho)
+        return DensityMatrix(tuple(keep), tensor.reshape(2**remaining, 2**remaining))
 
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state_or_dm).__name__}")
 

@@ -6,16 +6,27 @@ from qmonogamy import (
     DensityMatrix,
     Partition,
     PureState,
+    convex_roof_optimize,
+    lambda_spectrum,
     linear_entropy,
     partial_trace,
     pure_concurrence_sq,
     random_haar_state,
+    spin_flip,
     state_from_basis_terms,
     three_tangle,
     wclass_bounds,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
+
+
+def noisy_rank3_mixture():
+    """A rank-3 two-qubit mixture plus upper-triangular noise of 3e-13: Hermitian within tolerance only."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    noise = np.triu(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), 1)
+    return x @ x.conj().T / np.vdot(x, x).real + 3e-13 * noise / np.abs(noise).max()
 
 
 HAAR3 = random_haar_state(3, 1)
@@ -156,6 +167,12 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="qubit labels must be non-negative"):
             DensityMatrix(labels, np.eye(2 ** len(labels), dtype=complex) / 2 ** len(labels))
 
+    @pytest.mark.parametrize("labels", [(1, 0), (0, 2, 1)])
+    def test_unsorted_labels_rejected(self, labels):
+        # partial_trace reads rows in label order: (1, 0) kept as given would swap the qubits
+        with pytest.raises(ValueError, match="qubit labels must be in ascending order"):
+            DensityMatrix(labels, np.eye(2 ** len(labels), dtype=complex) / 2 ** len(labels))
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="must be 4x4"):
             DensityMatrix((0, 1), np.eye(2, dtype=complex) / 2)
@@ -168,6 +185,15 @@ class TestDensityMatrixInvariants:
     def test_bad_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix((0,), np.eye(2, dtype=complex))
+
+    def test_imaginary_trace_rejected_before_the_hermitian_part(self):
+        # Hermitian within HERMITICITY_ATOL, but |Im tr| = 1.6e-12; the Hermitian part has Im tr = 0
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix((0, 1), np.eye(4) / 4 + np.diag([4e-13j] * 4))
+
+    def test_matrix_is_stored_as_its_hermitian_part(self):
+        dm = DensityMatrix((0, 1), noisy_rank3_mixture())
+        assert np.array_equal(dm.matrix, dm.matrix.conj().T)
 
     def test_negative_eigenvalue_rejected(self):
         m = np.diag([1.5, -0.5]).astype(complex)
@@ -186,6 +212,20 @@ class TestDensityMatrixInvariants:
         assert dm.matrix.tolist() == [[0.75, 0.0], [0.0, 0.25]]
         with pytest.raises(ValueError):
             dm.matrix[0, 1] = 0.5
+
+
+def test_readers_of_a_noisy_matrix_see_the_admitted_one():
+    m = noisy_rank3_mixture()
+    dm, clean = DensityMatrix((0, 1), m), DensityMatrix((0, 1), (m + m.conj().T) / 2)
+    assert lambda_spectrum(dm).tobytes() == lambda_spectrum(clean).tobytes()
+    assert spin_flip(dm).tobytes() == spin_flip(clean).tobytes()
+    assert linear_entropy(dm) == linear_entropy(clean)
+    for mode in ("minimize", "maximize"):
+        results = [convex_roof_optimize(d, mode, seed=1) for d in (dm, clean)]
+        (value, ensemble), (value_clean, ensemble_clean) = results
+        assert value == value_clean and ensemble.sweeps == ensemble_clean.sweeps
+        members = [(p, psi.amplitudes.tobytes()) for p, psi in ensemble.members]
+        assert members == [(p, psi.amplitudes.tobytes()) for p, psi in ensemble_clean.members]
 
 
 class TestPartition:
