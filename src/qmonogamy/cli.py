@@ -211,6 +211,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "count", 1) < 1:
             raise ValueError("count must be at least 1")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("seed must be non-negative")
         if not 3 <= getattr(args, "qubits", 3) <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [3, {MAX_QUBITS}]")
         if not 0 < getattr(args, "tolerance", DEFAULT_TOLERANCE) < np.inf:

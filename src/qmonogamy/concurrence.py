@@ -4,8 +4,8 @@ For a pure state split across a bipartition, the concurrence is
 ``sqrt(2 (1 - Tr rho_left^2))``.  For two-qubit mixed states the closed forms
 of the convex-roof minimum (Wootters) and maximum (concurrence of assistance)
 are both functions of the same spectrum: the descending square roots
-``lambda_i`` of the eigenvalues of ``rho @ spin_flip(rho)``: the singular
-values of the 4x4 ``tau_jk = sqrt(mu_j mu_k) <e_j*|YY|e_k>``, zero where mu_j or mu_k <= RANK_CUTOFF.
+``lambda_i`` of the eigenvalues of ``rho @ spin_flip(rho)``, which for any
+factor F with rho = F F^H are the singular values of ``F^T YY F``.
 """
 
 from __future__ import annotations
@@ -37,10 +37,15 @@ def _support_root(rho: np.ndarray):
     return w, u * np.sqrt(np.where(w > RANK_CUTOFF, w, 0.0))[..., None, :]
 
 
+def _factor_spectra(factor: np.ndarray) -> np.ndarray:
+    """Descending lambda spectra of rho = F F^H from a stack ``(..., 4, 4)`` of factors F."""
+    return np.linalg.svd(factor.swapaxes(-1, -2) @ SPIN_FLIP_YY @ factor, compute_uv=False)
+
+
 def lambda_spectra(rho: np.ndarray):
     """Eigenvalues and descending lambda spectra of a stack ``(..., 4, 4)`` of Hermitian two-qubit matrices."""
     w, root = _support_root(rho)
-    return w, np.linalg.svd(root.swapaxes(-1, -2) @ SPIN_FLIP_YY @ root, compute_uv=False)
+    return w, _factor_spectra(root)
 
 
 def lambda_spectrum(dm: DensityMatrix) -> np.ndarray:
@@ -81,8 +86,10 @@ class MarginalTable:
     """The marginals of a stack of B pure states and the squared concurrences they give.
 
     Each marginal is traced on first use, once for the stack, and admitted as ``DensityMatrix``
-    admits a matrix: trace rule, Hermitian part, PSD floor.  ``pair_sq`` fills every pair with one ``eigh`` and one
-    ``svd`` over the stack; LAPACK factors each matrix on its own, so state b gets what it gets alone.
+    admits a matrix: trace rule, Hermitian part, PSD floor.  ``pair_sq`` fills every pair with one ``svd`` over the
+    stack.  Up to 4 qubits it factors rho = M M^H by each pair's amplitude block M, zero padded to 4 columns, and runs
+    no ``eigh``; from 5 it takes the ``eigh`` root of rho.  LAPACK factors each matrix on its own, so state b gets
+    what it gets alone.
     """
 
     def __init__(self, states):
@@ -96,18 +103,26 @@ class MarginalTable:
         """(C^2, C_a^2) of every pair: two symmetric (B, n, n) arrays with zero diagonals."""
         n = self.n_qubits
         pairs, i, j = pair_index(n)
-        w, l = lambda_spectra(np.stack([self._marginal(pair) for pair in pairs], axis=1))
-        _check_floor(w)
+        if n <= 4:  # M has at most 4 columns; from 5 qubits the eigh route is faster (measured)
+            factor = np.zeros((len(self.states), len(pairs), 4, 4), dtype=complex)
+            for p, pair in enumerate(pairs):
+                self._marginal(pair, factor[:, p])
+            l = _factor_spectra(factor)
+        else:
+            w, l = lambda_spectra(np.stack([self._marginal(pair) for pair in pairs], axis=1))
+            _check_floor(w)
         sq = np.zeros((2, len(self.states), n, n))
         # float_power is the C library's pow, as Python's float ** is; the ** of arrays multiplies
         sq[:, :, i, j] = sq[:, :, j, i] = np.float_power([_wootters(l), _assistance(l)], 2)
         return sq[0], sq[1]
 
-    def _marginal(self, keep: tuple) -> np.ndarray:
-        """Reduced matrices of the qubits ``keep`` over the stack; stores their purities."""
+    def _marginal(self, keep: tuple, factor=None) -> np.ndarray:
+        """Reduced matrices rho = M M^H of ``keep`` over the stack; stores their purities, and M in ``factor``."""
         order = [0] + [1 + q for q in keep] + [1 + q for q in range(self.n_qubits) if q not in keep]
         tensor = self.amplitudes.reshape((-1,) + (2,) * self.n_qubits)
         m = tensor.transpose(order).reshape(len(self.states), 2 ** len(keep), -1)
+        if factor is not None:
+            factor[..., : m.shape[-1]] = m
         rho = _admit(m @ m.conj().swapaxes(-1, -2))
         flat = rho.reshape(len(m), 1, -1)
         # a row-times-column matmul gives np.vdot's purity bit for bit; einsum does not

@@ -13,11 +13,13 @@ def table_work(monkeypatch):
 
     ``fills`` holds each fill's stack size; ``marginals[k]`` counts the qubit
     subsets traced for fill k; ``spectra[k]`` holds the stacks of pair matrices
-    that fill k passed to ``lambda_spectra``.
+    that fill k passed to ``lambda_spectra``, and ``factors[k]`` the stacks of
+    factors it passed to ``_factor_spectra``, directly or through ``lambda_spectra``.
     """
-    work = SimpleNamespace(fills=[], marginals=[], spectra=[])
+    work = SimpleNamespace(fills=[], marginals=[], spectra=[], factors=[])
     owner = {}  # id of a table -> its fill's index
-    fill, marginal, spectra = MarginalTable.__init__, MarginalTable._marginal, qmonogamy.concurrence.lambda_spectra
+    fill, marginal = MarginalTable.__init__, MarginalTable._marginal
+    spectra, kernel = qmonogamy.concurrence.lambda_spectra, qmonogamy.concurrence._factor_spectra
 
     def counted_fill(self, states):
         states = list(states)
@@ -25,17 +27,23 @@ def table_work(monkeypatch):
         work.fills.append(len(states))
         work.marginals.append(Counter())
         work.spectra.append([])
+        work.factors.append([])
         fill(self, states)
 
-    def counted_marginal(self, keep):
+    def counted_marginal(self, keep, *args):
         work.marginals[owner[id(self)]][keep] += 1
-        return marginal(self, keep)
+        return marginal(self, keep, *args)
 
     def counted_spectra(rho):
         work.spectra[-1].append(rho.copy())
         return spectra(rho)
 
+    def counted_kernel(factor):
+        work.factors[-1].append(factor.copy())
+        return kernel(factor)
+
     monkeypatch.setattr(MarginalTable, "__init__", counted_fill)
     monkeypatch.setattr(MarginalTable, "_marginal", counted_marginal)
     monkeypatch.setattr(qmonogamy.concurrence, "lambda_spectra", counted_spectra)
+    monkeypatch.setattr(qmonogamy.concurrence, "_factor_spectra", counted_kernel)
     return work

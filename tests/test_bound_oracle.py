@@ -3,8 +3,9 @@
 ``monogamy._entries`` computes each inequality as one array expression over a
 stack of states.  The formulas below compute the same entries for one state at
 a time, as plain Python sums over that state's pair values C^2 and C_a^2 and
-its cut values, each read from ``partial_trace`` rather than from a
-``MarginalTable``.
+its cut values, each read for that state alone rather than from a
+``MarginalTable``: the cut values from ``partial_trace``, the pair values by
+the table's route (``helpers.pair_sq``).
 
 The first reference states the AB|rest and ABC1|rest bounds through the row
 sums K(q) = sum_j C^2(q, j) and A(q) = sum_j C_a^2(q, j), as the stack path
@@ -18,17 +19,11 @@ the stack path within 1e-13, and every other entry bit for bit.
 import numpy as np
 import pytest
 
-from qmonogamy import (
-    PureState,
-    concurrence_of_assistance,
-    linear_entropy,
-    partial_trace,
-    random_haar_state,
-    wclass_state,
-    wootters_concurrence,
-)
+from qmonogamy import linear_entropy, partial_trace, random_haar_state, wclass_state
 from qmonogamy.concurrence import MarginalTable
 from qmonogamy.monogamy import _entries, _wclass_chain, is_weight1_supported
+
+from helpers import pair_sq, sparse_state
 
 
 class Row:
@@ -36,11 +31,8 @@ class Row:
 
     def __init__(self, state):
         self.state, self.n_qubits = state, state.n_qubits
-        self.pairs = {}
-        for i in range(self.n_qubits):
-            for j in range(i + 1, self.n_qubits):
-                dm = partial_trace(state, [i, j])
-                self.pairs[i, j] = (wootters_concurrence(dm) ** 2, concurrence_of_assistance(dm) ** 2)
+        n = self.n_qubits
+        self.pairs = {(i, j): pair_sq(state, i, j) for i in range(n) for j in range(i + 1, n)}
 
     def csq(self, i, j):
         return 0.0 if i == j else self.pairs[min(i, j), max(i, j)][0]
@@ -156,14 +148,6 @@ def entries(t, bounds=RowSums):
 
 def weight1_state(n, rng):
     return wclass_state(np.sqrt(rng.dirichlet(np.ones(n))) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-
-
-def sparse_state(n, rng, labels):
-    """Complex Gaussian amplitudes on 2-4 of the given basis labels, where the bounds saturate."""
-    amps = np.zeros(2**n, dtype=complex)
-    support = rng.choice(labels, rng.integers(2, min(4, len(labels)) + 1), replace=False)
-    amps[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-    return PureState(n, amps / np.linalg.norm(amps))
 
 
 def stack(n, count):

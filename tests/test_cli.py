@@ -132,8 +132,11 @@ class OneFillPerChunk:
         assert main(self.argv(n) + ["--count", "15", "--seed", "2"]) == 0
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert table_work.fills == [7, 7, 1]
-        assert [[stack.shape for stack in calls] for calls in table_work.spectra] == [
+        # one lambda kernel call per fill: on the amplitude blocks up to 4 qubits, through lambda_spectra from 5
+        assert [[factor.shape for factor in calls] for calls in table_work.factors] == [
             [(size, len(pairs), 4, 4)] for size in (7, 7, 1)]
+        assert [[stack.shape for stack in calls] for calls in table_work.spectra] == [
+            [(size, len(pairs), 4, 4)] * (n >= 5) for size in (7, 7, 1)]
         assert table_work.marginals == [Counter(dict.fromkeys(pairs + self.cuts(n), 1))] * 3
 
 
@@ -175,6 +178,11 @@ class TestFuzz(OneFillPerChunk):
     def test_bad_config_exits_one(self, capsys):
         assert main(["fuzz", "--qubits", "2", "--count", "5", "--seed", "1"]) == 1
         assert main(["fuzz", "--qubits", "4", "--count", "0", "--seed", "1"]) == 1
+
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["fuzz", "--qubits", "4", "--count", "5", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error [config]: seed must be non-negative\n" and captured.out == ""
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_output_does_not_depend_on_the_chunk(self, n, tmp_path, monkeypatch, capsys):
@@ -283,6 +291,11 @@ class TestWclassScan(OneFillPerChunk):
             lower, mid, upper = float(fields[2]), float(fields[3]), float(fields[4])
             assert lower <= mid + 1e-7
             assert mid <= upper + 1e-7
+
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["wclass-scan", "--n", "4", "--count", "5", "--seed", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error [config]: seed must be non-negative\n" and captured.out == ""
 
     def test_byte_identical_for_fixed_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

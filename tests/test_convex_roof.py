@@ -508,7 +508,8 @@ def test_oracle_never_calls_the_closed_forms(monkeypatch):
         raise AssertionError("the oracle called a closed form")
 
     for module in (qmonogamy, qmonogamy.concurrence, qmonogamy.convex_roof):
-        for name in ("lambda_spectra", "lambda_spectrum", "wootters_concurrence", "concurrence_of_assistance"):
+        for name in ("_factor_spectra", "lambda_spectra", "lambda_spectrum", "wootters_concurrence",
+                     "concurrence_of_assistance"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     for dm, (cmin, cmax) in zip(cases, expected):
         assert convex_roof_optimize(dm, "minimize", seed=1)[0] == pytest.approx(cmin, abs=ORACLE_ATOL)

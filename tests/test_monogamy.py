@@ -32,6 +32,8 @@ from qmonogamy import (
 from qmonogamy.concurrence import MarginalTable
 from qmonogamy.monogamy import role_name
 
+from helpers import amplitude_block, pair_sq, sparse_state
+
 
 def random_wclass_state(n, seed):
     rng = np.random.default_rng(seed)
@@ -364,13 +366,55 @@ class TestMarginalTable:
         assert ("wclass_upper" in {e.inequality for e in report.entries}) == (kind == "wclass")
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert table_work.fills == [1]
-        # one spectrum call, holding each pair's marginal once, in pair order
-        [stack] = table_work.spectra[0]
-        np.testing.assert_array_equal(stack, [[partial_trace(state, pair).matrix for pair in pairs]])
+        # one lambda kernel call, holding each pair's factor once, in pair order
+        [factor] = table_work.factors[0]
+        if n <= 4:
+            # the amplitude blocks, with no eigh of rho
+            assert table_work.spectra[0] == []
+            np.testing.assert_array_equal(factor, [[amplitude_block(state, *pair) for pair in pairs]])
+        else:
+            # one spectrum call, holding each pair's marginal once, in pair order
+            [stack] = table_work.spectra[0]
+            np.testing.assert_array_equal(stack, [[partial_trace(state, pair).matrix for pair in pairs]])
         # pairs, singles, and at n >= 6 the ABC1 cut: each traced once
         marginals = table_work.marginals[0]
         assert set(marginals.values()) == {1}
         assert len(marginals) == n * (n - 1) // 2 + n + (n >= 6)
+
+    @pytest.mark.parametrize("delta", [1e-13, 1e-14])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_pair_values_keep_spectra_below_the_rank_cutoff(self, n, delta):
+        # sqrt(1 - delta) |Phi+>|0...> + sqrt(delta) |Phi->|1...>: rho_AB mixes two Bell states with
+        # weights 1 - delta and delta, so lambda = (1 - delta, delta, 0, 0)
+        zeros, ones = "0" * (n - 2), "1" * (n - 2)
+        state = state_from_basis_terms(n, [("00" + zeros, np.sqrt(1 - delta)), ("11" + zeros, np.sqrt(1 - delta)),
+                                           ("00" + ones, np.sqrt(delta)), ("11" + ones, -np.sqrt(delta))])
+        pair = evaluate_all(state).components["A-B"]
+        assert abs(pair["concurrence_sq"] - (1 - 2 * delta) ** 2) <= 1e-15
+        assert abs(pair["assistance_sq"] - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_route_agrees_with_lambda_spectrum(self, n):
+        rng = np.random.default_rng(40 + n)
+        states = [random_haar_state(n, rng) for _ in range(12)]
+        states += [sparse_state(n, rng, np.arange(2**n)) for _ in range(12)]
+        states += [state_from_basis_terms(n, [("0" * n, 1)]), state_from_basis_terms(n, [("0" * n, 1), ("1" * n, 1)]),
+                   state_from_basis_terms(n, [("0" * q + "1" + "0" * (n - 1 - q), 1) for q in range(n)])]
+        csq, casq = MarginalTable(states).pair_sq
+        for b, state in enumerate(states):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dm = partial_trace(state, [i, j])
+                    assert abs(csq[b, i, j] - wootters_concurrence(dm) ** 2) <= 1e-14, (b, i, j)
+                    assert abs(casq[b, i, j] - concurrence_of_assistance(dm) ** 2) <= 1e-14, (b, i, j)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_route_keeps_the_trace_check(self, n):
+        good = [random_haar_state(n, seed) for seed in range(3)]
+        MarginalTable(good).pair_sq
+        off = SimpleNamespace(n_qubits=n, amplitudes=good[1].amplitudes * (1 + 1e-9))
+        with pytest.raises(ValueError, match="trace"):
+            MarginalTable([good[0], off, good[2]]).pair_sq
 
     # how a table reads each kind of marginal: the pair fill, a single, a larger cut
     READS = {(0, 1): lambda table: table.pair_sq, (0,): lambda table: table.cut_sq([0]),
@@ -416,10 +460,8 @@ class TestMarginalTable:
         assert (report.entry("chain_lower").lhs, mid_ab, report.entry("chain_upper").rhs) == concurrence_chain(state)
         for i in range(n):
             for j in range(i + 1, n):
-                dm = partial_trace(state, [i, j])
                 pair = report.components[f"{role_name(i)}-{role_name(j)}"]
-                assert pair["concurrence_sq"] == wootters_concurrence(dm) ** 2
-                assert pair["assistance_sq"] == concurrence_of_assistance(dm) ** 2
+                assert (pair["concurrence_sq"], pair["assistance_sq"]) == pair_sq(state, i, j)
         single = [linear_entropy(partial_trace(state, [q])) for q in range(n)]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         double = {(i, j): linear_entropy(partial_trace(state, [i, j])) for i, j in pairs}
