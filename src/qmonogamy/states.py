@@ -42,8 +42,9 @@ def _qubit_count(n, name: str) -> int:
 
 def _admit(rho):
     """The Hermitian part (rho + rho^H)/2 of a stack of matrices whose traces, as given, pass the trace rule."""
-    # the real and imaginary parts side by side: |Re tr - 1| and |Im tr| each within TRACE_ATOL
-    off = np.abs((rho.trace(axis1=-2, axis2=-1) - 1.0).view(float)).max()
+    # |Re tr - 1| and |Im tr| each within TRACE_ATOL; read part by part, which a stack of any memory layout allows
+    off = rho.trace(axis1=-2, axis2=-1) - 1.0
+    off = np.maximum(np.abs(off.real), np.abs(off.imag)).max()
     if off > TRACE_ATOL:
         raise ValueError(f"trace deviates from 1 by {off}, beyond tolerance")
     return (rho + rho.conj().swapaxes(-1, -2)) / 2

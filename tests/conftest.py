@@ -1,6 +1,7 @@
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import qmonogamy.concurrence
@@ -12,13 +13,15 @@ def table_work(monkeypatch):
     """Record the work of every ``MarginalTable``.
 
     ``fills`` holds each fill's stack size; ``marginals[k]`` counts the qubit
-    subsets traced for fill k; ``spectra[k]`` holds the stacks of pair matrices
+    subsets traced for fill k, and ``gathers[k]`` the ``np.take`` calls that
+    gathered its amplitude blocks; ``spectra[k]`` holds the stacks of pair matrices
     that fill k passed to ``lambda_spectra``, and ``factors[k]`` the stacks of
     factors it passed to ``_factor_spectra``, directly or through ``lambda_spectra``.
     """
-    work = SimpleNamespace(fills=[], marginals=[], spectra=[], factors=[])
-    owner = {}  # id of a table -> its fill's index
-    fill, marginal = MarginalTable.__init__, MarginalTable._marginal
+    work = SimpleNamespace(fills=[], marginals=[], gathers=[], spectra=[], factors=[])
+    tables = []  # every table, kept alive so that no two share an id
+    owner = {}  # id of a table, and of its amplitude stack -> its fill's index
+    fill, marginals, take = MarginalTable.__init__, MarginalTable._marginals, np.take
     spectra, kernel = qmonogamy.concurrence.lambda_spectra, qmonogamy.concurrence._factor_spectra
 
     def counted_fill(self, states):
@@ -26,13 +29,21 @@ def table_work(monkeypatch):
         owner[id(self)] = len(work.fills)
         work.fills.append(len(states))
         work.marginals.append(Counter())
+        work.gathers.append(0)
         work.spectra.append([])
         work.factors.append([])
         fill(self, states)
+        tables.append(self)
+        owner[id(self.amplitudes)] = owner[id(self)]
 
-    def counted_marginal(self, keep, *args):
-        work.marginals[owner[id(self)]][keep] += 1
-        return marginal(self, keep, *args)
+    def counted_marginals(self, keeps, *args, **kwargs):
+        work.marginals[owner[id(self)]].update(keeps)
+        return marginals(self, keeps, *args, **kwargs)
+
+    def counted_take(a, *args, **kwargs):
+        if id(a) in owner:
+            work.gathers[owner[id(a)]] += 1
+        return take(a, *args, **kwargs)
 
     def counted_spectra(rho):
         work.spectra[-1].append(rho.copy())
@@ -43,7 +54,8 @@ def table_work(monkeypatch):
         return kernel(factor)
 
     monkeypatch.setattr(MarginalTable, "__init__", counted_fill)
-    monkeypatch.setattr(MarginalTable, "_marginal", counted_marginal)
+    monkeypatch.setattr(MarginalTable, "_marginals", counted_marginals)
+    monkeypatch.setattr(np, "take", counted_take)
     monkeypatch.setattr(qmonogamy.concurrence, "lambda_spectra", counted_spectra)
     monkeypatch.setattr(qmonogamy.concurrence, "_factor_spectra", counted_kernel)
     return work

@@ -138,9 +138,14 @@ class OneFillPerChunk:
         assert [[stack.shape for stack in calls] for calls in table_work.spectra] == [
             [(size, len(pairs), 4, 4)] * (n >= 5) for size in (7, 7, 1)]
         assert table_work.marginals == [Counter(dict.fromkeys(pairs + self.cuts(n), 1))] * 3
+        assert table_work.gathers == self.GATHERS[n]
 
 
 class TestFuzz(OneFillPerChunk):
+    # pairs, singles and ABC1 each in one gather, but at n = 10 a gather of 7 states holds
+    # 2 marginals (2^14 // (7 * 2^10)) and a gather of one state 16: 23 + 5 + 1 and 3 + 1 + 1
+    GATHERS = {3: [2, 2, 2], 6: [3, 3, 3], 10: [29, 29, 5]}
+
     @staticmethod
     def argv(n):
         return ["fuzz", "--qubits", str(n)]
@@ -270,6 +275,9 @@ class TestReproducePaper:
 
 
 class TestWclassScan(OneFillPerChunk):
+    # the pairs, and the singles at n = 3: 45 pairs at n = 10 in 23 gathers of 7 states or 3 of one
+    GATHERS = {3: [2, 2, 2], 6: [1, 1, 1], 10: [23, 23, 3]}
+
     @staticmethod
     def argv(n):
         return ["wclass-scan", "--n", str(n)]

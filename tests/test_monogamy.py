@@ -30,7 +30,7 @@ from qmonogamy import (
     wootters_concurrence,
 )
 from qmonogamy.concurrence import MarginalTable
-from qmonogamy.monogamy import role_name
+from qmonogamy.monogamy import _entries, role_name
 
 from helpers import amplitude_block, pair_sq, sparse_state
 
@@ -376,10 +376,11 @@ class TestMarginalTable:
             # one spectrum call, holding each pair's marginal once, in pair order
             [stack] = table_work.spectra[0]
             np.testing.assert_array_equal(stack, [[partial_trace(state, pair).matrix for pair in pairs]])
-        # pairs, singles, and at n >= 6 the ABC1 cut: each traced once
+        # pairs, singles, and at n >= 6 the ABC1 cut: each traced once, one gather for each of the three
         marginals = table_work.marginals[0]
         assert set(marginals.values()) == {1}
         assert len(marginals) == n * (n - 1) // 2 + n + (n >= 6)
+        assert table_work.gathers == [2 + (n >= 6)]
 
     @pytest.mark.parametrize("delta", [1e-13, 1e-14])
     @pytest.mark.parametrize("n", [3, 4])
@@ -433,20 +434,63 @@ class TestMarginalTable:
     def test_fill_keeps_the_psd_floor(self, keep, monkeypatch):
         # the product state |0...0> has diagonal marginals with zero eigenvalues;
         # moving 1e-9 of weight between two of them keeps the trace and breaks the floor
-        marginal = MarginalTable._marginal
+        marginals = MarginalTable._marginals
 
-        def shifted(table, qubits):
-            rho = marginal(table, qubits)
-            if qubits == keep:
-                rho[1:, -1, -1] -= 1e-9
-                rho[1:, -2, -2] += 1e-9
+        def shifted(table, keeps):
+            rho = marginals(table, keeps)
+            if keep in keeps:
+                slot = keeps.index(keep)
+                rho[1:, slot, -1, -1] -= 1e-9
+                rho[1:, slot, -2, -2] += 1e-9
             return rho
 
-        monkeypatch.setattr(MarginalTable, "_marginal", shifted)
+        monkeypatch.setattr(MarginalTable, "_marginals", shifted)
         states = [random_haar_state(6, 0), state_from_basis_terms(6, [("000000", 1)])]
         self.READS[keep](MarginalTable(states[:1]))
         with pytest.raises(ValueError, match="PSD"):
             self.READS[keep](MarginalTable(states))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("n", [5, 8, 10, 12])
+    def test_gathered_marginals_equal_partial_trace(self, n, size, monkeypatch):
+        # a gather holds all of a size's subsets or only some, as n and the stack size set
+        traced, marginals = {}, MarginalTable._marginals
+
+        def recorded(table, keeps):
+            rho = marginals(table, keeps)
+            traced.update(zip(keeps, rho.swapaxes(0, 1)))
+            return rho
+
+        monkeypatch.setattr(MarginalTable, "_marginals", recorded)
+        states = [random_haar_state(n, seed) for seed in range(size)]
+        table = MarginalTable(states)
+        table.pair_sq
+        table.linear_entropies([(q,) for q in range(n)])
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert sorted(traced) == sorted(pairs + [(q,) for q in range(n)])
+        for keep, rho in traced.items():
+            for b, state in enumerate(states):
+                np.testing.assert_array_equal(rho[b], partial_trace(state, keep).matrix)
+
+    @pytest.mark.parametrize("size", [3, 17])
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_stack_rows_equal_stacks_of_one(self, n, size):
+        # the stack size sets how the marginals split into gathers; no bit may follow it
+        rng = np.random.default_rng(n + size)
+        states = [random_wclass_state(n, rng) if b % 3 == 1 else random_haar_state(n, rng) for b in range(size)]
+        subsets = [(q,) for q in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)] + [(0, 1, 2)]
+        stack = MarginalTable(states)
+        pairs, entropies, entries = stack.pair_sq, stack.linear_entropies(subsets), _entries(stack)
+        for b, state in enumerate(states):
+            one = MarginalTable([state])
+            for full, alone in zip(pairs, one.pair_sq):
+                np.testing.assert_array_equal(full[b], alone[0])
+            np.testing.assert_array_equal(entropies[b], one.linear_entropies(subsets)[0])
+            alone = _entries(one)
+            assert [name for name, (rows, _, _) in entries.items() if b in rows] == list(alone)
+            for name, (rows, lhs, rhs) in alone.items():
+                k = list(entries[name][0]).index(b)
+                assert (entries[name][1][k], entries[name][2][k]) == (lhs[0], rhs[0]), name
 
     @given(seed=st.integers(0, 10**9), n=st.integers(3, 6), weight1=st.booleans())
     @settings(max_examples=40, deadline=None)

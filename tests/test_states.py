@@ -17,6 +17,7 @@ from qmonogamy import (
     three_tangle,
     wclass_bounds,
 )
+from qmonogamy.states import _admit
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -226,6 +227,28 @@ def test_readers_of_a_noisy_matrix_see_the_admitted_one():
         assert value == value_clean and ensemble.sweeps == ensemble_clean.sweeps
         members = [(p, psi.amplitudes.tobytes()) for p, psi in ensemble.members]
         assert members == [(p, psi.amplitudes.tobytes()) for p, psi in ensemble_clean.members]
+
+
+@pytest.mark.parametrize("layout", [lambda a: a.swapaxes(0, 1), np.asfortranarray], ids=["swapped", "fortran"])
+@pytest.mark.parametrize("off", [0.0, 1e-9, 4e-13j])
+def test_admission_reads_a_stack_of_any_layout(layout, off):
+    # a (2, 3, 4, 4) stack whose batch axes are not C-ordered, as a matmul may return one, meets the trace rule
+    # as its C-ordered copy does (off = 4e-13j puts Im tr at 1.6e-12); the copy's message reads the larger of
+    # |Re tr - 1| and |Im tr|
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    rho = x @ x.conj().swapaxes(-1, -2)
+    stack = layout(rho / rho.trace(axis1=-2, axis2=-1)[..., None, None] + off * np.eye(4))
+    copy = np.ascontiguousarray(stack)
+    if not off:
+        np.testing.assert_array_equal(_admit(stack), _admit(copy))
+        return
+    with pytest.raises(ValueError, match="^trace deviates from 1 by .*, beyond tolerance$"):
+        _admit(stack)
+    tr = copy.trace(axis1=-2, axis2=-1) - 1.0
+    largest = max(np.abs(tr.real).max(), np.abs(tr.imag).max())
+    with pytest.raises(ValueError, match=f"^trace deviates from 1 by {largest}, beyond tolerance$"):
+        _admit(copy)
 
 
 class TestPartition:
