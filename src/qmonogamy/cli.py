@@ -18,8 +18,8 @@ import numpy as np
 from .cases import CHECK_TOLERANCE, builtin_cases
 from .concurrence import MarginalTable, pair_index
 from .monogamy import DEFAULT_TOLERANCE, _entries, _entry, _wclass_chain, evaluate_all, wclass_state
-from .statefile import StateFileError, read_state_file, write_state_file
-from .states import MAX_QUBITS, random_haar_state
+from .statefile import read_state_file, write_state_file
+from .states import MAX_QUBITS, StateError, random_haar_state
 
 CHUNK = 64  # states per table fill in ``fuzz`` and ``wclass-scan``; no output depends on it
 
@@ -52,8 +52,6 @@ def _emit(text: str, out: str | None):
 
 def cmd_check(args) -> int:
     state = read_state_file(args.state_file)
-    if state.n_qubits < 3:
-        raise StateFileError("qubits", "bound checking needs at least 3 qubits")
     report = evaluate_all(state, tolerance=args.tolerance, state_id=str(args.state_file))
     text = _entries_csv(report.entries) if args.format == "csv" else json.dumps(report.to_dict(), indent=2) + "\n"
     _emit(text, args.out)
@@ -221,7 +219,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 1
-    except StateFileError as exc:
+    except StateError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

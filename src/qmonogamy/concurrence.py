@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import DensityMatrix, Partition, PureState, _admit, _check_floor, _integer
+from .states import MAX_QUBITS, DensityMatrix, Partition, PureState, _admit, _check_floor, _integer
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP_YY = np.kron(SIGMA_Y, SIGMA_Y).real  # real symmetric 4x4
@@ -94,8 +94,8 @@ _GATHER_ELEMENTS = 2**14
 
 def _block_index(n: int, keeps: tuple) -> np.ndarray:
     """Where each subset's block M[r, c] lies among the 2^n amplitudes, (K, 2^k, 2^(n-k)), r over its qubits and c
-    over the others in ascending order; int16 holds every index below 2^MAX_QUBITS, and no int64 copy is built."""
-    positions = np.arange(2**n, dtype=np.int16).reshape((2,) * n)
+    over the others in ascending order, in the smallest dtype that holds every index below 2^MAX_QUBITS."""
+    positions = np.arange(2**n, dtype=np.min_scalar_type(2**MAX_QUBITS - 1)).reshape((2,) * n)
     orders = [list(keep) + [q for q in range(n) if q not in keep] for keep in keeps]
     return np.stack([positions.transpose(order).reshape(2 ** len(keeps[0]), -1) for order in orders])
 

@@ -13,7 +13,7 @@ started at (0, 2).  One (0, 1) step on the restarts opens the order, so they
 take the steps of sweeps started at (0, 1), each sweep ending on the next
 one's opening step.  Steps on disjoint rows commute exactly, so a step that
 shares no row with the round before it joins that round, and each round runs
-as one vectorized step.  A four-member sweep is the four rounds
+as one vectorized step.  A four-member sweep is the four rounds ``_ROUNDS``,
 (0, 2) | (0, 3) + (1, 2) | (1, 3) | (2, 3) + (0, 1), with the bits of the six
 steps taken one by one.
 
@@ -38,7 +38,6 @@ objective gains less than 1e-9 in a sweep; the best restart is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -169,26 +168,8 @@ def _pair_rotation(a, b, c, mode: str):
     return ch, (nx * unit + 1j * (ny * unit)) / (2 * ch)
 
 
-@cache
-def _rounds(m: int) -> tuple:
-    """The row pairs of an m-row isometry in sweep order, grouped into rounds of disjoint pairs.
-
-    The order is cyclic, started at (0, 2), and a pair joins the round before it when it
-    shares no row with that round (see the module docstring).  Each round is two read-only
-    index arrays: the first and the second rows of its pairs.
-    """
-    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
-    rounds = []
-    for p, q in pairs[1:] + pairs[:1]:
-        if rounds and not {p, q} & set(rounds[-1][0] + rounds[-1][1]):
-            rounds[-1][0].append(p)
-            rounds[-1][1].append(q)
-        else:
-            rounds.append(([p], [q]))
-    out = tuple((np.array(ps), np.array(qs)) for ps, qs in rounds)
-    for ps, qs in out:
-        ps.flags.writeable = qs.flags.writeable = False
-    return out
+# The four-member sweep's rounds (see the module docstring), each the first and the second rows of its pairs.
+_ROUNDS = tuple((np.array(ps), np.array(qs)) for ps, qs in (([0], [2]), ([0, 1], [3, 2]), ([1], [3]), ([2, 0], [3, 1])))
 
 
 def _step(v, p, q, tau, mode):
@@ -203,8 +184,8 @@ def _step(v, p, q, tau, mode):
 
 
 def _sweep(v, tau, mode):
-    """One exact optimizing step per row pair of V, one vectorized step per round."""
-    for p, q in _rounds(v.shape[1]):
+    """One exact optimizing step per row pair of a four-row V, one vectorized step per round."""
+    for p, q in _ROUNDS:
         _step(v, p, q, tau, mode)
 
 

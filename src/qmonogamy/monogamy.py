@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .concurrence import MarginalTable, pair_index
-from .states import MAX_QUBITS, PureState, _integer
+from .states import PureState, StateError, _integer, _qubit_count
 
 WEIGHT1_SUPPORT_ATOL = 1e-12
 DEFAULT_TOLERANCE = 1e-7
@@ -24,7 +24,7 @@ TRIANGLE_DEGENERATE_EPS = 1e-12
 
 def _table(state: PureState, minimum: int, what: str) -> MarginalTable:
     if state.n_qubits < minimum:
-        raise ValueError(f"{what} needs at least {minimum} qubits, got {state.n_qubits}")
+        raise StateError("qubits", f"{what} needs at least {minimum} qubits, got {state.n_qubits}")
     return MarginalTable([state])
 
 
@@ -129,15 +129,11 @@ def abc_rest_upper(state: PureState) -> float:
 
 
 def wclass_state(coefficients) -> PureState:
-    """State supported on Hamming-weight-1 basis labels with the given amplitudes."""
+    """State supported on Hamming-weight-1 basis labels with the given amplitudes, whose norm ``PureState`` judges."""
     coeffs = np.asarray(list(coefficients), dtype=complex)
-    n = len(coeffs)
-    if n < 3:
-        raise ValueError(f"at least 3 coefficients are required, got {n}")
-    if n > MAX_QUBITS:
-        raise ValueError(f"at most {MAX_QUBITS} coefficients are supported, got {n}")
-    if abs(np.sum(np.abs(coeffs) ** 2) - 1.0) > 1e-10:
-        raise ValueError("coefficients must be normalized to unit total weight")
+    if len(coeffs) < 3:
+        raise ValueError(f"at least 3 coefficients are required, got {len(coeffs)}")
+    n = _qubit_count(len(coeffs), "the number of coefficients")
     amps = np.zeros(2**n, dtype=complex)
     for i, c in enumerate(coeffs):
         amps[1 << (n - 1 - i)] = c

@@ -26,6 +26,14 @@ PSD_FLOOR = -1e-10
 NORM_BOUND = 1e-6  # a state norm further than this from 1 is rejected, not renormalized
 
 
+class StateError(ValueError):
+    """Rejected amplitude vector or state document; ``code`` names the rule: parse, length, finite, normalization or qubits."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _integer(x, name: str) -> int:
     """``x`` as an ``int``; a float or a boolean is no integer, even if integral."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
@@ -36,7 +44,7 @@ def _integer(x, name: str) -> int:
 def _qubit_count(n, name: str) -> int:
     """``n`` as an ``int`` in [1, MAX_QUBITS]."""
     if not 1 <= _integer(n, name) <= MAX_QUBITS:
-        raise ValueError(f"{name} must be in [1, {MAX_QUBITS}], got {n}")
+        raise StateError("qubits", f"{name} must be in [1, {MAX_QUBITS}], got {n}")
     return int(n)
 
 
@@ -57,7 +65,7 @@ def _check_floor(eigenvalues):
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over ``n_qubits`` qubits."""
+    """Normalized amplitude vector over ``n_qubits`` qubits; each of its admission rules raises a coded ``StateError``."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -66,12 +74,13 @@ class PureState:
         n = _qubit_count(self.n_qubits, "n_qubits")
         amps = np.array(self.amplitudes, dtype=complex)  # a copy: the caller's array stays writeable
         if amps.shape != (2**n,):
-            raise ValueError(f"amplitude vector must have length 2**{n}, got shape {amps.shape}")
+            raise StateError("length", f"amplitude vector must have length 2**{n} = {2**n}, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
+            raise StateError("finite", "amplitudes must be finite numbers, not NaN or Infinity")
+        norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_BOUND:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
+            bound = np.format_float_scientific(NORM_BOUND, trim="-", exp_digits=1)  # 1e-6, not 1e-06
+            raise StateError("normalization", f"norm {norm} deviates from 1 by more than {bound}")
         if abs(norm - 1.0) > NORM_ATOL:
             amps = amps / norm
         amps.flags.writeable = False

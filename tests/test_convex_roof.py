@@ -24,11 +24,12 @@ from qmonogamy.convex_roof import (
     LEADERS,
     RESTARTS,
     STOP_GAIN,
+    _ROUNDS,
     _diag,
     _haar_isometries,
     _pair_rotation,
-    _rounds,
     _score,
+    _step,
     _sweep,
 )
 
@@ -354,7 +355,7 @@ class TestPairStep:
         tau = tau_matrix(random_two_qubit_mixed(rng, rank).matrix)
         v = _haar_isometries(6, m, rank, rng)
         for _ in range(10):
-            _sweep(v, tau, mode)
+            sweep(v, tau, mode)
         assert np.allclose(v.conj().swapaxes(1, 2) @ v, np.eye(rank), atol=1e-12)
         if m == rank:  # square V: its rows are orthonormal too
             assert np.allclose(v @ v.conj().swapaxes(1, 2), np.eye(m), atol=1e-12)
@@ -404,13 +405,34 @@ def cyclic_pairs(m):
     return pairs[1:] + pairs[:1]
 
 
-def round_pairs(m):
-    return [[(int(p), int(q)) for p, q in zip(ps, qs)] for ps, qs in _rounds(m)]
+def disjoint_rounds(m):
+    """``cyclic_pairs(m)`` grouped as the module docstring groups them: a pair joins the round before it when it
+    shares no row with that round.  Each round is two index arrays, the first and the second rows of its pairs."""
+    rounds = []
+    for p, q in cyclic_pairs(m):
+        if rounds and not {p, q} & set(rounds[-1][0] + rounds[-1][1]):
+            rounds[-1][0].append(p)
+            rounds[-1][1].append(q)
+        else:
+            rounds.append(([p], [q]))
+    return [(np.array(ps), np.array(qs)) for ps, qs in rounds]
+
+
+def round_pairs(rounds):
+    return [[(int(p), int(q)) for p, q in zip(ps, qs)] for ps, qs in rounds]
+
+
+def sweep(v, tau, mode):
+    """``_sweep`` on four rows; on m rows, ``_step`` over ``disjoint_rounds(m)`` as ``_sweep`` steps over ``_ROUNDS``."""
+    if v.shape[1] == ENSEMBLE_SIZE:
+        return _sweep(v, tau, mode)
+    for p, q in disjoint_rounds(v.shape[1]):
+        _step(v, p, q, tau, mode)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_rounds_step_every_pair_once_in_cyclic_order(m):
-    rounds = round_pairs(m)
+    rounds = round_pairs(_ROUNDS if m == ENSEMBLE_SIZE else disjoint_rounds(m))
     assert [pair for r in rounds for pair in r] == cyclic_pairs(m)
     for r in rounds:
         rows = [row for pair in r for row in pair]
@@ -418,7 +440,8 @@ def test_rounds_step_every_pair_once_in_cyclic_order(m):
 
 
 def test_four_members_sweep_in_four_rounds():
-    assert round_pairs(4) == [[(0, 2)], [(0, 3), (1, 2)], [(1, 3)], [(2, 3), (0, 1)]]
+    expected = [[(0, 2)], [(0, 3), (1, 2)], [(1, 3)], [(2, 3), (0, 1)]]
+    assert round_pairs(_ROUNDS) == round_pairs(disjoint_rounds(ENSEMBLE_SIZE)) == expected
 
 
 def sequential_steps(v, tau, mode, pairs):
@@ -440,7 +463,7 @@ def test_fused_sweep_equals_sequential_steps(mode, rank, m):
     v = _haar_isometries(32, m, rank, rng)
     reference = v.copy()
     for _ in range(10):
-        _sweep(v, tau, mode)
+        sweep(v, tau, mode)
         sequential_steps(reference, tau, mode, cyclic_pairs(m))
         assert np.array_equal(v, reference)
 

@@ -29,7 +29,8 @@ from qmonogamy import (
     wclass_state,
     wootters_concurrence,
 )
-from qmonogamy.concurrence import MarginalTable
+import qmonogamy.concurrence
+from qmonogamy.concurrence import MarginalTable, _block_index
 from qmonogamy.monogamy import _entries, role_name
 
 from helpers import amplitude_block, pair_sq, sparse_state
@@ -215,21 +216,38 @@ class TestWclassStates:
         np.testing.assert_allclose(state.amplitudes[weight1], [1 / np.sqrt(5)] * 5, atol=1e-15)
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match="deviates from 1 by more than 1e-6") as err:
             wclass_state([1, 1, 0])
+        assert err.value.code == "normalization"
 
     def test_too_few_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
             wclass_state([1, 0])
 
     def test_too_many_rejected(self):
-        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS}"):
+        with pytest.raises(ValueError, match=rf"must be in \[1, {MAX_QUBITS}\], got {MAX_QUBITS + 1}") as err:
             wclass_state([1] + [0] * MAX_QUBITS)
+        assert err.value.code == "qubits"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             wclass_state([bad, 0, 0])
+
+    def test_norm_judged_as_pure_state_judges_it(self):
+        # total weight 1e-8 off is accepted and renormalized as PureState renormalizes; 1e-5 off is rejected
+        weights = np.array([0.5, 0.3, 0.2])
+        for off in (1e-8, -1e-8):
+            coeffs = np.sqrt(weights * (1 + off))
+            amps = np.zeros(8, dtype=complex)
+            amps[[4, 2, 1]] = coeffs
+            state = wclass_state(coeffs)
+            assert state.amplitudes.tobytes() == PureState(3, amps).amplitudes.tobytes()
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-15
+        for off in (1e-5, -1e-5):
+            with pytest.raises(ValueError) as err:
+                wclass_state(np.sqrt(weights * (1 + off)))
+            assert err.value.code == "normalization"
 
     def test_non_wclass_input_rejected_by_bounds(self):
         with pytest.raises(ValueError, match="weight-1"):
@@ -471,6 +489,13 @@ class TestMarginalTable:
         for keep, rho in traced.items():
             for b, state in enumerate(states):
                 np.testing.assert_array_equal(rho[b], partial_trace(state, keep).matrix)
+
+    def test_gather_index_dtype_follows_the_qubit_limit(self, monkeypatch):
+        # the smallest dtype holding every index below 2^MAX_QUBITS: uint16 at 12 qubits, and no wrap at 16
+        assert _block_index(12, ((0, 1),)).dtype == np.uint16
+        monkeypatch.setattr(qmonogamy.concurrence, "MAX_QUBITS", 16)
+        index = _block_index(16, ((0, 1),))
+        assert index.min() == 0 and index.max() == 2**16 - 1
 
     @pytest.mark.parametrize("size", [3, 17])
     @pytest.mark.parametrize("n", [8, 10, 12])

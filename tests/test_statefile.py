@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmonogamy import (
     PureState,
+    StateError,
     StateFileError,
     parse_state,
     random_haar_state,
@@ -14,6 +15,7 @@ from qmonogamy import (
     state_from_basis_terms,
     write_state_file,
 )
+from qmonogamy.cli import main
 
 
 def test_bell_round_trip():
@@ -128,3 +130,58 @@ def test_file_round_trip(tmp_path):
     write_state_file(state, path)
     again = read_state_file(path)
     np.testing.assert_array_equal(again.amplitudes, state.amplitudes)
+
+
+# one document per PureState rule, and the code that rule gives
+RULE_CASES = {
+    "length": (3, [[1.0, 0.0]] + [[0.0, 0.0]] * 6),
+    "finite": (3, [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7),
+    "normalization": (3, [[0.5, 0.0]] + [[0.0, 0.0]] * 7),
+    "qubits": (13, [[1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("code", RULE_CASES)
+def test_one_code_per_rule_at_every_layer(code, tmp_path, capsys):
+    n, pairs = RULE_CASES[code]
+    with pytest.raises(StateError) as err:
+        PureState(n, [complex(re, im) for re, im in pairs])
+    assert err.value.code == code
+    text = json.dumps({"n_qubits": n, "amplitudes": pairs})
+    with pytest.raises(StateFileError) as err:
+        parse_state(text)
+    assert err.value.code == code
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error [{code}]: ") and captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_state_file_error_is_the_state_error():
+    assert StateFileError is StateError
+
+
+@pytest.mark.parametrize("n", [0, -1, 13, 10**6])
+def test_qubit_count_outside_range_is_a_qubits_error(n):
+    # PureState reads the count before it builds anything of size 2**n
+    with pytest.raises(StateFileError, match=r"n_qubits must be in \[1, 12\]") as err:
+        parse_state(json.dumps({"n_qubits": n, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+    assert err.value.code == "qubits"
+
+
+def test_non_integer_qubit_count_stays_a_parse_error():
+    with pytest.raises(StateFileError) as err:
+        parse_state('{"n_qubits": 1.0, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
+    assert err.value.code == "parse"
+
+
+def test_messages_keep_their_detail():
+    cases = {
+        '{"n_qubits": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}': r"2\*\*2 = 4, got shape \(3,\)",
+        '{"n_qubits": 1, "amplitudes": [[Infinity, 0.0], [0.0, 0.0]]}': "not NaN or Infinity",
+        '{"n_qubits": 1, "amplitudes": [[0.5, 0.0], [0.0, 0.0]]}': "norm 0.5 deviates from 1 by more than 1e-6$",
+    }
+    for text, detail in cases.items():
+        with pytest.raises(StateFileError, match=detail):
+            parse_state(text)
