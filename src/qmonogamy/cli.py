@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from .cases import CHECK_TOLERANCE, builtin_cases
-from .concurrence import MarginalTable, pair_index
-from .monogamy import DEFAULT_TOLERANCE, _entries, _entry, _wclass_chain, evaluate_all, wclass_state
+from .concurrence import pair_index
+from .monogamy import DEFAULT_TOLERANCE, _bound_qubits, _entries, _entry, _table, _wclass_chain, evaluate_all, wclass_state
 from .statefile import read_state_file, write_state_file
-from .states import MAX_QUBITS, StateError, random_haar_state
+from .states import StateError, random_haar_state
 
 CHUNK = 64  # states per table fill in ``fuzz`` and ``wclass-scan``; no output depends on it
 
@@ -39,7 +39,7 @@ def _tables(states):
     """One ``MarginalTable`` per ``CHUNK`` states, in order."""
     states = iter(states)
     while chunk := list(itertools.islice(states, CHUNK)):
-        yield MarginalTable(chunk)
+        yield _table(chunk)
 
 
 def _emit(text: str, out: str | None):
@@ -211,8 +211,8 @@ def main(argv=None) -> int:
             raise ValueError("count must be at least 1")
         if getattr(args, "seed", 0) < 0:
             raise ValueError("seed must be non-negative")
-        if not 3 <= getattr(args, "qubits", 3) <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [3, {MAX_QUBITS}]")
+        if hasattr(args, "qubits"):  # the bounds' own rule, before any work starts
+            _bound_qubits(args.qubits)
         if not 0 < getattr(args, "tolerance", DEFAULT_TOLERANCE) < np.inf:
             raise ValueError("tolerance must be positive and finite")
         return globals()[args.run](args)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import MAX_QUBITS, DensityMatrix, Partition, PureState, _admit, _check_floor, _integer
+from .states import MAX_QUBITS, DensityMatrix, Partition, PureState, _admit, _check_floor, _qubits
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP_YY = np.kron(SIGMA_Y, SIGMA_Y).real  # real symmetric 4x4
@@ -172,14 +172,10 @@ class MarginalTable:
         return np.maximum(0.0, 1.0 - np.array([self._purities[key] for key in keys]).T)
 
     def cut_sq(self, *lefts) -> np.ndarray:
-        """Squared concurrence of each ``left`` versus the rest, reduced over the smaller side: (B, len(lefts))."""
-        everything, sides = frozenset(range(self.n_qubits)), []
-        for left in map(frozenset, lefts):
-            if not left or not left < everything:
-                raise ValueError(f"left must be a non-empty proper subset of the {self.n_qubits} qubits")
-            right = everything - left
-            sides.append(left if len(left) <= len(right) else right)
-        return 2.0 * self.linear_entropies(sides)
+        """Squared concurrence of each ``left`` versus the rest, reduced over the smaller side, (B, len(lefts)).  Internal:
+        it judges no ``left``, as the bounds pass fixed role sets and ``pure_concurrence_sq`` a set it has judged."""
+        n = self.n_qubits
+        return 2.0 * self.linear_entropies([left if 2 * len(left) <= n else set(range(n)) - set(left) for left in lefts])
 
 
 def concurrence_pure(state: PureState, partition: Partition) -> float:
@@ -194,8 +190,12 @@ def concurrence_pure(state: PureState, partition: Partition) -> float:
 
 
 def pure_concurrence_sq(state: PureState, left) -> float:
-    """Squared concurrence of ``left`` versus the remaining qubits."""
-    return float(MarginalTable([state]).cut_sq([_integer(q, "qubit index in left") for q in left])[0, 0])
+    """Squared concurrence of ``left`` versus the remaining qubits; ``left`` is judged here, not in ``cut_sq``."""
+    n = state.n_qubits
+    left = _qubits(left, f"left (a proper subset of the {n} qubits)", range(n))
+    if len(left) == n:
+        raise ValueError(f"left must be a proper subset of the {n} qubits, got all of them")
+    return float(MarginalTable([state]).cut_sq(left)[0, 0])
 
 
 def three_tangle(state: PureState, focus: int) -> float:
@@ -205,11 +205,9 @@ def three_tangle(state: PureState, focus: int) -> float:
     """
     if state.n_qubits != 3:
         raise ValueError(f"three-tangle is defined for 3 qubits, got {state.n_qubits}")
-    if _integer(focus, "focus") not in (0, 1, 2):
-        raise ValueError(f"focus must be a qubit index in 0..2, got {focus}")
+    (focus,) = _qubits([focus], "focus", range(3))
     table = MarginalTable([state])
     total = float(table.cut_sq([focus])[0, 0])
-    for other in range(3):
-        if other != focus:
-            total -= float(table.pair_sq[0][0, focus, other])
+    for csq in table.pair_sq[0][0, focus].tolist():  # C^2(focus, focus) is the table's zero diagonal
+        total -= csq
     return total

@@ -15,17 +15,22 @@ from functools import cache
 import numpy as np
 
 from .concurrence import MarginalTable, pair_index
-from .states import PureState, StateError, _integer, _qubit_count
+from .states import PureState, StateError, _qubit_count, _qubits
 
 WEIGHT1_SUPPORT_ATOL = 1e-12
 DEFAULT_TOLERANCE = 1e-7
 TRIANGLE_DEGENERATE_EPS = 1e-12
 
 
-def _table(state: PureState, minimum: int, what: str) -> MarginalTable:
-    if state.n_qubits < minimum:
-        raise StateError("qubits", f"{what} needs at least {minimum} qubits, got {state.n_qubits}")
-    return MarginalTable([state])
+def _bound_qubits(n, minimum: int = 3):
+    """Admit ``n`` as a qubit count the bounds take: in [1, MAX_QUBITS], and at least 3 (AB|rest) or 4 (ABC1|rest)."""
+    if _qubit_count(n, "the qubit count") < minimum:
+        raise StateError("qubits", f"these bounds need at least {minimum} qubits, got {n}")
+
+
+def _table(states: list, minimum: int = 3) -> MarginalTable:
+    _bound_qubits(states[0].n_qubits, minimum)
+    return MarginalTable(states)
 
 
 def _sum(terms: np.ndarray) -> np.ndarray:
@@ -57,7 +62,7 @@ def _grow(lower, upper, csq: np.ndarray, casq: np.ndarray, q: int) -> tuple:
 
 def _abc_rest(state: PureState) -> tuple:
     """The ABC1|rest bounds (diff, hub, upper) of one state: the AB|rest bounds grown by C1."""
-    csq, casq = _table(state, 4, "the ABC1-versus-rest bounds").pair_sq
+    csq, casq = _table([state], 4).pair_sq
     return _grow(_ab_rest_lower(csq, casq)[:, 0, 1], _ab_rest_upper(casq)[:, 0, 1], csq, casq, 2)
 
 
@@ -66,17 +71,17 @@ def ab_rest_lower(state: PureState) -> float:
 
     Raw value of max over the two difference sums; may be negative.
     """
-    return float(_ab_rest_lower(*_table(state, 3, "the AB-versus-rest lower bound").pair_sq)[0, 0, 1])
+    return float(_ab_rest_lower(*_table([state]).pair_sq)[0, 0, 1])
 
 
 def ab_rest_upper(state: PureState) -> float:
     """Upper bound on C^2(AB|rest) from the assistance of AB and all AB-C_i pairs."""
-    return float(_ab_rest_upper(_table(state, 3, "the AB-versus-rest upper bound").pair_sq[1])[0, 0, 1])
+    return float(_ab_rest_upper(_table([state]).pair_sq[1])[0, 0, 1])
 
 
 def concurrence_chain(state: PureState):
     """Triangle chain (|a-b|, c, a+b) with a = C^2(A|rest), b = C^2(B|rest), c = C^2(AB|rest)."""
-    a, b, c = _table(state, 3, "the concurrence chain").cut_sq([0], [1], [0, 1])[0].tolist()
+    a, b, c = _table([state]).cut_sq([0], [1], [0, 1])[0].tolist()
     return abs(a - b), c, a + b
 
 
@@ -95,7 +100,7 @@ def triangle_vectors(state: PureState) -> TriangleVectors:
     ``c_vec`` is laid along the first axis.  When c vanishes the chain forces
     a = b, and the construction degenerates to an antiparallel pair.
     """
-    a, b, c = _table(state, 3, "the triangle construction").cut_sq([0], [1], [0, 1])[0].tolist()
+    a, b, c = _table([state]).cut_sq([0], [1], [0, 1])[0].tolist()
     if c <= TRIANGLE_DEGENERATE_EPS:
         a_vec = (a, 0.0)
         c_vec = (0.0, 0.0)
@@ -131,8 +136,6 @@ def abc_rest_upper(state: PureState) -> float:
 def wclass_state(coefficients) -> PureState:
     """State supported on Hamming-weight-1 basis labels with the given amplitudes, whose norm ``PureState`` judges."""
     coeffs = np.asarray(list(coefficients), dtype=complex)
-    if len(coeffs) < 3:
-        raise ValueError(f"at least 3 coefficients are required, got {len(coeffs)}")
     n = _qubit_count(len(coeffs), "the number of coefficients")
     amps = np.zeros(2**n, dtype=complex)
     for i, c in enumerate(coeffs):
@@ -174,13 +177,14 @@ def wclass_bounds(state: PureState, i: int, j: int):
     states only: there every two-qubit marginal has C_a = C, so the bounds are
     sums of pair concurrences, and the lower one is |sum_k C^2_ik - C^2_jk|.
     """
-    n, i, j = state.n_qubits, _integer(i, "i"), _integer(j, "j")
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
+    table = _table([state])
+    pair = _qubits((i, j), "the pair (i, j)", range(table.n_qubits))
+    if pair != (i, j):
+        raise ValueError(f"need i < j, got ({i}, {j})")
     if not is_weight1_supported(state):
         raise ValueError("state is not supported on Hamming-weight-1 basis labels")
-    k = pair_index(n)[0].index((i, j))
-    return tuple(float(side[0, k]) for side in _wclass_chain(MarginalTable([state])))
+    k = pair_index(table.n_qubits)[0].index(pair)
+    return tuple(float(side[0, k]) for side in _wclass_chain(table))
 
 
 def role_name(q: int) -> str:
@@ -233,7 +237,7 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     """
     if not 0 < tolerance < np.inf:
         raise ValueError("tolerance must be positive and finite")
-    table = _table(state, 3, "bound evaluation")
+    table = _table([state])
     entries = tuple(_entry(name, lhs[0], rhs[0], tolerance) for name, (_, lhs, rhs) in _entries(table).items())
     csq, casq = (sq[0].tolist() for sq in table.pair_sq)
     components = {

@@ -41,6 +41,17 @@ def _integer(x, name: str) -> int:
     return int(x)
 
 
+def _qubits(indices, name: str, universe=None) -> tuple:
+    """``indices`` as an ascending tuple of distinct non-negative ``int``s, each in ``universe`` if one is given."""
+    qubits = tuple(sorted(_integer(q, f"a qubit index in {name}") for q in indices))
+    if not qubits or qubits[0] < 0 or len(set(qubits)) < len(qubits):
+        raise ValueError(f"{name} must be non-negative, non-empty and distinct (no duplicates), got {list(qubits)}")
+    unknown = [q for q in qubits if universe is not None and q not in universe]
+    if unknown:
+        raise ValueError(f"{name} has unknown qubit indices {unknown}")
+    return qubits
+
+
 def _qubit_count(n, name: str) -> int:
     """``n`` as an ``int`` in [1, MAX_QUBITS]."""
     if not 1 <= _integer(n, name) <= MAX_QUBITS:
@@ -102,13 +113,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(_integer(q, "qubit label") for q in self.qubit_labels)
-        if len(labels) == 0 or len(set(labels)) != len(labels):
-            raise ValueError("qubit_labels must be non-empty and distinct")
-        if any(q < 0 for q in labels):
-            raise ValueError("qubit labels must be non-negative")
-        if list(labels) != sorted(labels):
-            raise ValueError("qubit labels must be in ascending order")
+        given = tuple(self.qubit_labels)
+        labels = _qubits(given, "qubit labels")
+        if labels != given:
+            raise ValueError(f"qubit labels must be in ascending order, got {list(given)}")
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writeable
         dim = 2 ** len(labels)
         if m.shape != (dim, dim):
@@ -136,14 +144,9 @@ class Partition:
     right: frozenset
 
     def __post_init__(self):
-        left = frozenset(_integer(q, "qubit index in left") for q in self.left)
-        right = frozenset(_integer(q, "qubit index in right") for q in self.right)
-        if not left or not right:
-            raise ValueError("both sides of a partition must be non-empty")
+        left, right = frozenset(_qubits(self.left, "left")), frozenset(_qubits(self.right, "right"))
         if left & right:
             raise ValueError(f"partition sides overlap: {sorted(left & right)}")
-        if any(q < 0 for q in left | right):
-            raise ValueError("qubit indices must be non-negative")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -161,12 +164,11 @@ def state_from_basis_terms(n: int, terms: Sequence) -> PureState:
         if len(label) != n or any(ch not in "01" for ch in label):
             raise ValueError(f"basis label {label!r} is not a length-{n} bit string")
         amps[int(label, 2)] += complex(coeff)
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("coefficients must be finite")
     norm = np.linalg.norm(amps)
     if norm < 1e-15:
         raise ValueError("coefficients sum to the zero vector")
-    return PureState(n, amps / norm)
+    with np.errstate(invalid="ignore"):  # inf / inf gives NaN, which PureState rejects with code finite
+        return PureState(n, amps / norm)
 
 
 def partial_trace(state_or_dm: Union[PureState, DensityMatrix], keep: Iterable) -> DensityMatrix:
@@ -175,28 +177,18 @@ def partial_trace(state_or_dm: Union[PureState, DensityMatrix], keep: Iterable) 
     ``keep`` uses the original qubit indices of the input; the result is
     labeled by ``sorted(keep)``.
     """
-    keep = sorted(_integer(q, "qubit index in keep") for q in keep)
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    if len(set(keep)) != len(keep):
-        raise ValueError("keep set contains duplicates")
-
     if isinstance(state_or_dm, PureState):
         n = state_or_dm.n_qubits
-        unknown = [q for q in keep if q not in range(n)]
-        if unknown:
-            raise ValueError(f"unknown qubit indices {unknown}")
-        drop = [q for q in range(n) if q not in keep]
+        keep = _qubits(keep, "keep", range(n))
+        drop = tuple(q for q in range(n) if q not in keep)
         tensor = state_or_dm.amplitudes.reshape((2,) * n)
         tensor = np.moveaxis(tensor, keep + drop, range(n))
         m = tensor.reshape(2 ** len(keep), 2 ** len(drop))
-        return DensityMatrix(tuple(keep), m @ m.conj().T)
+        return DensityMatrix(keep, m @ m.conj().T)
 
     if isinstance(state_or_dm, DensityMatrix):
         labels = state_or_dm.qubit_labels
-        unknown = [q for q in keep if q not in labels]
-        if unknown:
-            raise ValueError(f"unknown qubit indices {unknown}")
+        keep = _qubits(keep, "keep", labels)
         k = len(labels)
         drop_pos = [i for i, q in enumerate(labels) if q not in keep]
         tensor = state_or_dm.matrix.reshape((2,) * (2 * k))
@@ -204,7 +196,7 @@ def partial_trace(state_or_dm: Union[PureState, DensityMatrix], keep: Iterable) 
         for pos in sorted(drop_pos, reverse=True):
             tensor = np.trace(tensor, axis1=pos, axis2=pos + remaining)
             remaining -= 1
-        return DensityMatrix(tuple(keep), tensor.reshape(2**remaining, 2**remaining))
+        return DensityMatrix(keep, tensor.reshape(2**remaining, 2**remaining))
 
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state_or_dm).__name__}")
 

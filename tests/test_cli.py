@@ -7,8 +7,8 @@ import pytest
 import qmonogamy.cli
 import qmonogamy.monogamy
 
-from qmonogamy import (PureState, evaluate_all, random_haar_state, read_state_file, state_from_basis_terms,
-                       write_state_file)
+from qmonogamy import (PureState, StateError, ab_rest_lower, abc_rest_upper, evaluate_all, random_haar_state,
+                       read_state_file, state_from_basis_terms, wclass_bounds, write_state_file)
 from qmonogamy.cli import CHUNK as DEFAULT_CHUNK, main
 from qmonogamy.concurrence import MarginalTable
 from qmonogamy.monogamy import BoundEntry, BoundReport, wclass_state
@@ -405,6 +405,36 @@ class TestExitCodeContract:
         assert main(argv + ["--out", str(tmp_path / "missing" / "out.txt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [io]") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["check-2", "fuzz-2", "fuzz-13", "wclass-scan-2", "wclass-scan-13",
+                                      "evaluate_all-2", "ab_rest_lower-2", "abc_rest_upper-3", "wclass_bounds-2"])
+    def test_qubit_count_judged_by_one_rule(self, case, tmp_path, monkeypatch, capsys):
+        # the bounds' qubit-count rule, met from the command line (before any work: no --out file) or from code
+        monkeypatch.chdir(tmp_path)
+        weight1 = state_from_basis_terms(2, [("01", 1), ("10", 1)])
+        write_state_file(weight1, "s2.json")
+        argv = {
+            "check-2": ["check", "s2.json"],
+            "fuzz-2": ["fuzz", "--qubits", "2", "--count", "2", "--seed", "0"],
+            "fuzz-13": ["fuzz", "--qubits", "13", "--count", "2", "--seed", "0"],
+            "wclass-scan-2": ["wclass-scan", "--n", "2", "--count", "2", "--seed", "0"],
+            "wclass-scan-13": ["wclass-scan", "--n", "13", "--count", "2", "--seed", "0"],
+        }.get(case)
+        if argv:
+            assert main(argv + ["--out", "out.txt"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error [qubits]: ") and captured.err.count("\n") == 1
+            assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["s2.json"]
+            return
+        call = {
+            "evaluate_all-2": lambda: evaluate_all(weight1),
+            "ab_rest_lower-2": lambda: ab_rest_lower(weight1),
+            "abc_rest_upper-3": lambda: abc_rest_upper(state_from_basis_terms(3, [("000", 1), ("111", 1)])),
+            "wclass_bounds-2": lambda: wclass_bounds(weight1, 0, 1),
+        }[case]
+        with pytest.raises(StateError, match=f"at least {4 if case.endswith('-3') else 3} qubits") as err:
+            call()
+        assert err.value.code == "qubits"
 
 
 class TestParserReuse:

@@ -106,6 +106,12 @@ class TestConcurrencePure:
         with pytest.raises(ValueError, match="proper subset"):
             pure_concurrence_sq(state_from_basis_terms(3, [("000", 1), ("111", 1)]), left)
 
+    def test_squared_cut_rejects_duplicates_as_partial_trace_does(self):
+        # [0, 0] once collapsed to {0} and gave C^2(A|BC) of GHZ3, 1.0000000000000004
+        for call in (pure_concurrence_sq, partial_trace):
+            with pytest.raises(ValueError, match="duplicates"):
+                call(ghz(3), [0, 0])
+
     @given(seed=st.integers(0, 10**9), n=st.integers(2, 6), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_symmetric_under_side_swap(self, seed, n, data):

@@ -221,8 +221,12 @@ class TestWclassStates:
         assert err.value.code == "normalization"
 
     def test_too_few_rejected(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            wclass_state([1, 0])
+        # a 2-coefficient state is a valid PureState: the bounds on it raise their qubit-count error
+        state = wclass_state([1, 0])
+        assert state.amplitudes.tolist() == [0, 0, 1, 0]
+        with pytest.raises(ValueError, match="at least 3") as err:
+            wclass_bounds(state, 0, 1)
+        assert err.value.code == "qubits"
 
     def test_too_many_rejected(self):
         with pytest.raises(ValueError, match=rf"must be in \[1, {MAX_QUBITS}\], got {MAX_QUBITS + 1}") as err:
@@ -252,6 +256,14 @@ class TestWclassStates:
     def test_non_wclass_input_rejected_by_bounds(self):
         with pytest.raises(ValueError, match="weight-1"):
             wclass_bounds(GHZ4, 0, 1)
+
+    def test_two_qubit_state_rejected_by_qubit_count(self):
+        # (|01> + |10>)/sqrt(2) is weight-1 supported, but the AB|rest bounds need a rest
+        bell = state_from_basis_terms(2, [("01", 1), ("10", 1)])
+        assert is_weight1_supported(bell)
+        with pytest.raises(ValueError, match="at least 3") as err:
+            wclass_bounds(bell, 0, 1)
+        assert err.value.code == "qubits"
 
     def test_bad_pair_rejected(self):
         w5 = wclass_state([1 / np.sqrt(5)] * 5)

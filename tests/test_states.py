@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,8 @@ from qmonogamy import (
     DensityMatrix,
     Partition,
     PureState,
+    StateError,
+    concurrence_pure,
     convex_roof_optimize,
     lambda_spectrum,
     linear_entropy,
@@ -60,6 +64,54 @@ def test_numpy_integer_qubit_indices_accepted():
     assert pure_concurrence_sq(HAAR3, [np.int16(1)]) == pure_concurrence_sq(HAAR3, [1])
 
 
+def _mixed(labels):
+    return DensityMatrix(labels, np.eye(2 ** len(labels)) / 2 ** len(labels))
+
+
+RHO3 = partial_trace(HAAR3, [0, 1, 2])  # a DensityMatrix: its labels are the qubits partial_trace may keep
+# Each entry point that takes qubit indices, called on 3 qubits: a call taking its qubit arguments, and those
+# arguments valid and then with one index a float, a bool, none at all, a duplicate, negative or beyond the 3
+# qubits.  A focus is one index and a pair two, so no index or a duplicate reaches them as a list in place of one.
+# A DensityMatrix knows no system beyond its labels, so the universe it gives is judged by partial_trace.
+QUBIT_ARGUMENTS = {
+    "partial_trace": (lambda keep: partial_trace(HAAR3, keep).matrix.tolist(),
+                      [([0, 2],), ([1.0, 2],), ([True, 2],), ([],), ([0, 0],), ([-1, 2],), ([0, 3],)]),
+    "partial_trace-DensityMatrix": (lambda keep: partial_trace(RHO3, keep).matrix.tolist(),
+                                    [([0, 2],), ([1.0, 2],), ([True, 2],), ([],), ([0, 0],), ([-1, 2],), ([0, 3],)]),
+    "DensityMatrix": (lambda labels: _mixed(labels).qubit_labels,
+                      [((0, 2),), ((1.0, 2),), ((True, 2),), ((),), ((0, 0),), ((-1, 2),), None]),
+    "Partition": (lambda left: concurrence_pure(HAAR3, Partition(left, [q for q in range(3) if q not in left])),
+                  [([0, 2],), ([1.0, 2],), ([True, 2],), ([],), ([0, 0],), ([-1, 2],), ([0, 3],)]),
+    "pure_concurrence_sq": (lambda left: pure_concurrence_sq(HAAR3, left),
+                            [([0, 2],), ([1.0, 2],), ([True, 2],), ([],), ([0, 0],), ([-1, 2],), ([0, 3],)]),
+    "three_tangle": (lambda focus: three_tangle(HAAR3, focus),
+                     [(1,), (1.0,), (True,), ([],), ([1, 1],), (-1,), (3,)]),
+    "wclass_bounds": (lambda i, j: wclass_bounds(W3, i, j),
+                      [(0, 2), (1.0, 2), (True, 2), ([], []), (2, 2), (-1, 2), (0, 3)]),
+}
+BAD_QUBITS = ["float", "bool", "none", "duplicate", "negative", "beyond"]
+
+
+@pytest.mark.parametrize("entry, bad", [
+    pytest.param(entry, bad, id=f"{entry}-{bad}")
+    for entry, (_, arguments) in QUBIT_ARGUMENTS.items()
+    for bad, args in zip(BAD_QUBITS, arguments[1:]) if args is not None
+])
+def test_qubit_sets_judged_by_one_rule(entry, bad):
+    call, arguments = QUBIT_ARGUMENTS[entry]
+    with pytest.raises(ValueError) as err:
+        call(*arguments[1 + BAD_QUBITS.index(bad)])
+    assert not isinstance(err.value, StateError)  # a qubit set is an argument, not a state: no code
+
+
+@pytest.mark.parametrize("entry", QUBIT_ARGUMENTS)
+def test_qubit_sets_equal_for_numpy_and_python_integers(entry):
+    call, (valid, *_) = QUBIT_ARGUMENTS[entry]
+    numpy_ints = tuple(type(arg)(map(np.int64, arg)) if isinstance(arg, (list, tuple)) else np.uint8(arg)
+                       for arg in valid)
+    assert call(*numpy_ints) == call(*valid)
+
+
 class TestStateFromBasisTerms:
     def test_two_term_superposition(self):
         state = state_from_basis_terms(4, [("0000", 1), ("1001", 1)])
@@ -95,6 +147,15 @@ class TestStateFromBasisTerms:
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             state_from_basis_terms(2, [("00", 1), ("11", bad)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_coded_without_warning(self, bad):
+        # PureState judges finiteness: inf / inf in the normalization gives a NaN, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateError) as err:
+                state_from_basis_terms(2, [("00", 1), ("11", bad)])
+        assert err.value.code == "finite"
 
     def test_repeated_labels_accumulate(self):
         state = state_from_basis_terms(1, [("0", 1), ("0", 1), ("1", 2)])
