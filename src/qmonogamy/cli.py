@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input or configuration error, 2 at least one bound
-violated beyond tolerance (which, the bounds being theorems, indicates an
+violated beyond tolerance or one ``reproduce-paper`` check failed (which, the
+bounds being theorems and the checks closed forms, indicates an
 implementation bug rather than a counterexample).
 """
 
@@ -17,9 +18,10 @@ import numpy as np
 
 from .cases import CHECK_TOLERANCE, builtin_cases
 from .concurrence import pair_index
-from .monogamy import DEFAULT_TOLERANCE, _bound_qubits, _entries, _entry, _table, _wclass_chain, evaluate_all, wclass_state
+from .monogamy import (DEFAULT_TOLERANCE, _MIN_QUBITS, _entries, _entry, _table, _tolerance, _wclass_chain,
+                       evaluate_all, wclass_state)
 from .statefile import read_state_file, write_state_file
-from .states import StateError, random_haar_state
+from .states import StateError, _qubit_count, random_haar_state
 
 CHUNK = 64  # states per table fill in ``fuzz`` and ``wclass-scan``; no output depends on it
 
@@ -129,7 +131,7 @@ def cmd_reproduce_paper(args) -> int:
     print(f"{len(rows) - failures}/{len(rows)} checks passed")
     if args.out:
         _emit(json.dumps({"checks": rows, "failures": failures}, indent=2) + "\n", args.out)
-    return 0 if failures == 0 else 1
+    return 0 if failures == 0 else 2
 
 
 def cmd_wclass_scan(args) -> int:
@@ -212,9 +214,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("seed must be non-negative")
         if hasattr(args, "qubits"):  # the bounds' own rule, before any work starts
-            _bound_qubits(args.qubits)
-        if not 0 < getattr(args, "tolerance", DEFAULT_TOLERANCE) < np.inf:
-            raise ValueError("tolerance must be positive and finite")
+            _qubit_count(args.qubits, "--qubits/--n", _MIN_QUBITS)
+        _tolerance(getattr(args, "tolerance", DEFAULT_TOLERANCE))
         return globals()[args.run](args)
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import MAX_QUBITS, DensityMatrix, Partition, PureState, _admit, _check_floor, _qubits
+from .states import MAX_QUBITS, DensityMatrix, Partition, PureState, _admit, _check_floor, _qubit_count, _qubits
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP_YY = np.kron(SIGMA_Y, SIGMA_Y).real  # real symmetric 4x4
@@ -30,8 +30,7 @@ RANK_CUTOFF = 1e-12
 
 def spin_flip(dm: DensityMatrix) -> np.ndarray:
     """Two-qubit spin-flipped matrix (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    if dm.n_qubits != 2:
-        raise ValueError(f"spin flip is defined for 2 qubits, got {dm.n_qubits}")
+    _qubit_count(dm.n_qubits, "the spin flip's qubit count", 2, 2)
     return SPIN_FLIP_YY @ dm.matrix.conj() @ SPIN_FLIP_YY
 
 
@@ -54,8 +53,7 @@ def lambda_spectra(rho: np.ndarray):
 
 def lambda_spectrum(dm: DensityMatrix) -> np.ndarray:
     """Descending lambda_i, padded with zeros to length 4."""
-    if dm.n_qubits != 2:
-        raise ValueError(f"lambda spectrum is defined for 2 qubits, got {dm.n_qubits}")
+    _qubit_count(dm.n_qubits, "the lambda spectrum's qubit count", 2, 2)
     return lambda_spectra(dm.matrix)[1]
 
 
@@ -193,8 +191,7 @@ def pure_concurrence_sq(state: PureState, left) -> float:
     """Squared concurrence of ``left`` versus the remaining qubits; ``left`` is judged here, not in ``cut_sq``."""
     n = state.n_qubits
     left = _qubits(left, f"left (a proper subset of the {n} qubits)", range(n))
-    if len(left) == n:
-        raise ValueError(f"left must be a proper subset of the {n} qubits, got all of them")
+    _qubit_count(len(left), f"the qubit count of left (a proper subset of the {n} qubits)", 1, n - 1)
     return float(MarginalTable([state]).cut_sq(left)[0, 0])
 
 
@@ -203,8 +200,7 @@ def three_tangle(state: PureState, focus: int) -> float:
 
     Permutation invariant over the focus choice for pure states.
     """
-    if state.n_qubits != 3:
-        raise ValueError(f"three-tangle is defined for 3 qubits, got {state.n_qubits}")
+    _qubit_count(state.n_qubits, "the three-tangle's qubit count", 3, 3)
     (focus,) = _qubits([focus], "focus", range(3))
     table = MarginalTable([state])
     total = float(table.cut_sq([focus])[0, 0])

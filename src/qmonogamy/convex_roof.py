@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import SPIN_FLIP_YY, _support_root
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, _qubit_count
 
 
 def __getattr__(name: str):
@@ -203,8 +203,7 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
     """
     if mode not in ("minimize", "maximize"):
         raise ValueError(f"mode must be 'minimize' or 'maximize', got {mode!r}")
-    if dm.n_qubits != 2:
-        raise ValueError(f"convex roof optimization is for 2-qubit states, got {dm.n_qubits}")
+    _qubit_count(dm.n_qubits, "the 2-qubit convex roof's qubit count", 2, 2)
     rng = np.random.default_rng(seed)
 
     root = _support_root(dm.matrix)[1]

@@ -9,28 +9,29 @@ a negative lower bound carries no information beyond C^2 >= 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .concurrence import MarginalTable, pair_index
-from .states import PureState, StateError, _qubit_count, _qubits
+from .states import PureState, _qubit_count, _qubits
 
 WEIGHT1_SUPPORT_ATOL = 1e-12
 DEFAULT_TOLERANCE = 1e-7
 TRIANGLE_DEGENERATE_EPS = 1e-12
+_MIN_QUBITS = 3  # the bounds' qubit-count minimum: AB|rest needs A, B and a rest (ABC1|rest needs 4)
 
 
-def _bound_qubits(n, minimum: int = 3):
-    """Admit ``n`` as a qubit count the bounds take: in [1, MAX_QUBITS], and at least 3 (AB|rest) or 4 (ABC1|rest)."""
-    if _qubit_count(n, "the qubit count") < minimum:
-        raise StateError("qubits", f"these bounds need at least {minimum} qubits, got {n}")
-
-
-def _table(states: list, minimum: int = 3) -> MarginalTable:
-    _bound_qubits(states[0].n_qubits, minimum)
+def _table(states: list, minimum: int = _MIN_QUBITS) -> MarginalTable:
+    _qubit_count(states[0].n_qubits, "the bounds' qubit count", minimum)
     return MarginalTable(states)
+
+
+def _tolerance(tolerance):
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not 0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be a positive, finite real number, got {tolerance!r}")
 
 
 def _sum(terms: np.ndarray) -> np.ndarray:
@@ -235,8 +236,7 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     slack >= -tolerance.  Raw and clamped readings of the signed lower bounds
     are reported separately.
     """
-    if not 0 < tolerance < np.inf:
-        raise ValueError("tolerance must be positive and finite")
+    _tolerance(tolerance)
     table = _table([state])
     entries = tuple(_entry(name, lhs[0], rhs[0], tolerance) for name, (_, lhs, rhs) in _entries(table).items())
     csq, casq = (sq[0].tolist() for sq in table.pair_sq)

@@ -9,6 +9,7 @@ roles follow the same order: qubit 0 plays A, qubit 1 plays B and qubit
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -27,7 +28,7 @@ NORM_BOUND = 1e-6  # a state norm further than this from 1 is rejected, not reno
 
 
 class StateError(ValueError):
-    """Rejected amplitude vector or state document; ``code`` names the rule: parse, length, finite, normalization or qubits."""
+    """Rejected input; ``code`` names the rule: parse, length, finite, normalization, or qubits for any qubit count."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -52,11 +53,22 @@ def _qubits(indices, name: str, universe=None) -> tuple:
     return qubits
 
 
-def _qubit_count(n, name: str) -> int:
-    """``n`` as an ``int`` in [1, MAX_QUBITS]."""
-    if not 1 <= _integer(n, name) <= MAX_QUBITS:
-        raise StateError("qubits", f"{name} must be in [1, {MAX_QUBITS}], got {n}")
+def _qubit_count(n, name: str, low: int = 1, high: int = MAX_QUBITS) -> int:
+    """``n`` as an ``int`` in [low, high]: the one qubit-count rule, for states, bounds, measures and the oracle."""
+    if not low <= _integer(n, name) <= high:
+        need = f"{low} qubits" if low == high else f"at least {low} qubits, up to {high}" if low > 1 else f"in [1, {high}]"
+        raise StateError("qubits", f"{name} must be {need}, got {n}")
     return int(n)
+
+
+def _norm(amps: np.ndarray) -> float:
+    """2-norm of an amplitude vector, taken at an exact power-of-two scale so that no square overflows."""
+    parts = amps.view(float)  # real and imaginary parts, scaled one by one: inf stays inf, with no inf * 0
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(parts, -e).view(complex))), e)
+    except OverflowError:  # a norm beyond the float range
+        return math.inf
 
 
 def _admit(rho):
@@ -88,7 +100,7 @@ class PureState:
             raise StateError("length", f"amplitude vector must have length 2**{n} = {2**n}, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise StateError("finite", "amplitudes must be finite numbers, not NaN or Infinity")
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
         if abs(norm - 1.0) > NORM_BOUND:
             bound = np.format_float_scientific(NORM_BOUND, trim="-", exp_digits=1)  # 1e-6, not 1e-06
             raise StateError("normalization", f"norm {norm} deviates from 1 by more than {bound}")
@@ -164,7 +176,7 @@ def state_from_basis_terms(n: int, terms: Sequence) -> PureState:
         if len(label) != n or any(ch not in "01" for ch in label):
             raise ValueError(f"basis label {label!r} is not a length-{n} bit string")
         amps[int(label, 2)] += complex(coeff)
-    norm = np.linalg.norm(amps)
+    norm = _norm(amps)
     if norm < 1e-15:
         raise ValueError("coefficients sum to the zero vector")
     with np.errstate(invalid="ignore"):  # inf / inf gives NaN, which PureState rejects with code finite

@@ -1,9 +1,11 @@
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import qmonogamy.cases
 import qmonogamy.cli
 import qmonogamy.monogamy
 
@@ -65,6 +67,16 @@ class TestCheck:
         write_state_file(state_from_basis_terms(2, [("00", 1), ("11", 1)]), path)
         assert main(["check", str(path)]) == 1
         assert "[qubits]" in capsys.readouterr().err
+
+    def test_huge_amplitude_file_gives_one_error_line(self, tmp_path, capsys):
+        # the norm of a 1e200 amplitude overflows unless taken at a power-of-two scale: no RuntimeWarning
+        path = tmp_path / "huge.json"
+        path.write_text('{"n_qubits": 3, "amplitudes": [[1e200, 0]' + ', [0, 0]' * 7 + ']}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [normalization]: norm 1e+200 ") and err.count("\n") == 1
 
     def test_csv_format(self, sat4_file, tmp_path):
         out = tmp_path / "report.csv"
@@ -261,6 +273,20 @@ class TestReproducePaper:
         assert "  ok    concurrence_sq[AB|CD]          expected            1  computed            1" in lines
         assert lines[-1] == "42/42 checks passed"
 
+    def test_failed_check_exits_two(self, monkeypatch, capsys):
+        # a pinned closed form that does not reproduce is an implementation bug, as a violated bound is
+        def one_wrong():
+            cases = qmonogamy.cases.builtin_cases()
+            quantity, compute, expected, note = cases[0][3][0]
+            cases[0][3][0] = (quantity, compute, expected + 0.5, note)
+            return cases
+
+        monkeypatch.setattr(qmonogamy.cli, "builtin_cases", one_wrong)
+        assert main(["reproduce-paper"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.lstrip().startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == "41/42 checks passed"
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "cases.json"
         assert main(["reproduce-paper", "--out", str(out)]) == 0
@@ -393,6 +419,16 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert "error [config]" in captured.err and captured.out == ""
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command", ["check", "fuzz"])
+    def test_tolerance_judged_by_the_api_rule(self, command, tolerance, sat4_file, capsys):
+        # the command line says what evaluate_all says of the same value, word for word
+        argv = {"check": ["check", str(sat4_file)], "fuzz": ["fuzz", "--qubits", "3", "--count", "2", "--seed", "0"]}
+        with pytest.raises(ValueError) as err:
+            evaluate_all(read_state_file(sat4_file), tolerance=float(tolerance))
+        assert main(argv[command] + ["--tolerance", tolerance]) == 1
+        assert capsys.readouterr().err == f"error [config]: {err.value}\n"
 
     @pytest.mark.parametrize("command", ["check", "fuzz", "reproduce-paper", "wclass-scan"])
     def test_unwritable_out_exits_one(self, command, sat4_file, tmp_path, capsys):

@@ -375,9 +375,14 @@ class TestEvaluateAll:
             evaluate_all(SAT4).entry("no_such_bound")
 
     def test_bad_tolerance_rejected(self):
-        for tolerance in (0.0, -1.0, float("nan"), float("inf")):
+        # a bool or a string is no tolerance, even where it compares or converts like one
+        for tolerance in (True, "1e-7", 0, 0.0, -1, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tolerance"):
                 evaluate_all(SAT4, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [1e-7, 1, np.float32(1e-3), np.int64(2)])
+    def test_real_tolerance_kept_as_given(self, tolerance):
+        assert evaluate_all(SAT4, tolerance=tolerance).tolerance is tolerance
 
     @given(seed=st.integers(0, 10**9), n=st.integers(3, 6))
     @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ from qmonogamy import (
     Partition,
     PureState,
     StateError,
+    concurrence_of_assistance,
     concurrence_pure,
     convex_roof_optimize,
     lambda_spectrum,
@@ -20,8 +21,9 @@ from qmonogamy import (
     state_from_basis_terms,
     three_tangle,
     wclass_bounds,
+    wootters_concurrence,
 )
-from qmonogamy.states import _admit
+from qmonogamy.states import _admit, _norm
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -112,6 +114,28 @@ def test_qubit_sets_equal_for_numpy_and_python_integers(entry):
     assert call(*numpy_ints) == call(*valid)
 
 
+# Each computation defined at one qubit count, called on a count beside it: 1 or 3 qubits for the two-qubit
+# measures and the oracle, 4 for the three-tangle, and all 3 qubits for a side that must be a proper subset.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: spin_flip(_mixed((0,))), id="spin_flip-1"),
+    pytest.param(lambda: spin_flip(RHO3), id="spin_flip-3"),
+    pytest.param(lambda: lambda_spectrum(_mixed((0,))), id="lambda_spectrum-1"),
+    pytest.param(lambda: lambda_spectrum(RHO3), id="lambda_spectrum-3"),
+    pytest.param(lambda: wootters_concurrence(_mixed((0,))), id="wootters_concurrence-1"),
+    pytest.param(lambda: wootters_concurrence(RHO3), id="wootters_concurrence-3"),
+    pytest.param(lambda: concurrence_of_assistance(_mixed((0,))), id="concurrence_of_assistance-1"),
+    pytest.param(lambda: concurrence_of_assistance(RHO3), id="concurrence_of_assistance-3"),
+    pytest.param(lambda: three_tangle(random_haar_state(4, 1), 0), id="three_tangle-4"),
+    pytest.param(lambda: convex_roof_optimize(_mixed((0,)), "minimize"), id="convex_roof_optimize-1"),
+    pytest.param(lambda: convex_roof_optimize(RHO3, "maximize"), id="convex_roof_optimize-3"),
+    pytest.param(lambda: pure_concurrence_sq(HAAR3, [0, 1, 2]), id="pure_concurrence_sq-3"),
+])
+def test_qubit_counts_judged_by_one_rule(call):
+    with pytest.raises(ValueError) as err:  # StateError is a ValueError, so older handlers still catch it
+        call()
+    assert isinstance(err.value, StateError) and err.value.code == "qubits"
+
+
 class TestStateFromBasisTerms:
     def test_two_term_superposition(self):
         state = state_from_basis_terms(4, [("0000", 1), ("1001", 1)])
@@ -157,6 +181,13 @@ class TestStateFromBasisTerms:
                 state_from_basis_terms(2, [("00", 1), ("11", bad)])
         assert err.value.code == "finite"
 
+    def test_huge_coefficients_normalized_without_warning(self):
+        # 1e200 squared overflows; the norm taken at a power-of-two scale does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = state_from_basis_terms(1, [("0", 1e200), ("1", 1e200)])
+        np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], rtol=0, atol=1e-16)
+
     def test_repeated_labels_accumulate(self):
         state = state_from_basis_terms(1, [("0", 1), ("0", 1), ("1", 2)])
         np.testing.assert_allclose(np.abs(state.amplitudes), [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
@@ -175,6 +206,21 @@ class TestPureStateInvariants:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="norm"):
             PureState(1, np.array([0.5, 0.0]))
+
+    def test_huge_amplitude_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateError, match=r"^norm 1e\+200 deviates") as err:
+                PureState(1, [1e200, 0.0])
+        assert err.value.code == "normalization"
+
+    def test_norm_keeps_every_bit_of_an_ordinary_vector(self):
+        # the power-of-two scaling is exact, so the norm is np.linalg.norm's bit for bit
+        rng = np.random.default_rng(23)
+        for n in range(1, 13):
+            z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            for v in (z, z / np.linalg.norm(z), z * 1e-9, z * 1e9, random_haar_state(n, rng).amplitudes):
+                assert _norm(v) == np.linalg.norm(v)
 
     def test_qubit_budget_enforced(self):
         with pytest.raises(ValueError):
