@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -19,9 +18,9 @@ import numpy as np
 from .cases import CHECK_TOLERANCE, builtin_cases
 from .concurrence import pair_index
 from .monogamy import (DEFAULT_TOLERANCE, _MIN_QUBITS, _entries, _entry, _table, _tolerance, _wclass_chain,
-                       evaluate_all, wclass_state)
+                       _weight1_amplitudes, evaluate_all)
 from .statefile import read_state_file, write_state_file
-from .states import StateError, _qubit_count, random_haar_state
+from .states import PureState, StateError, _admit_amplitudes, _haar_amplitudes, _qubit_count
 
 CHUNK = 64  # states per table fill in ``fuzz`` and ``wclass-scan``; no output depends on it
 
@@ -37,11 +36,10 @@ def _entries_csv(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tables(states):
-    """One ``MarginalTable`` per ``CHUNK`` states, in order."""
-    states = iter(states)
-    while chunk := list(itertools.islice(states, CHUNK)):
-        yield _table(chunk)
+def _tables(n: int, count: int, rows):
+    """One ``MarginalTable`` per ``CHUNK`` states, in order; ``rows(start, stop)`` stacks their amplitudes."""
+    for start in range(0, count, CHUNK):
+        yield _table(_admit_amplitudes(n, rows(start, min(start + CHUNK, count)))[1])
 
 
 def _emit(text: str, out: str | None):
@@ -63,10 +61,10 @@ def cmd_check(args) -> int:
 def cmd_fuzz(args) -> int:
     worst: dict = {}
     violations = 0
-    offenders = {}  # index -> (state, its first violated entry's name and slack)
-    states = (random_haar_state(args.qubits, np.random.default_rng([args.seed, i])) for i in range(args.count))
+    offenders = {}  # index -> (amplitudes, its first violated entry's name and slack)
+    seeds = [[args.seed, i] for i in range(args.count)]
     start = 0
-    for table in _tables(states):
+    for table in _tables(args.qubits, args.count, lambda a, b: _haar_amplitudes(args.qubits, seeds[a:b])):
         for name, (rows, lhs, rhs) in _entries(table).items():
             slack = rhs - lhs
             k = np.argmin(slack)  # the first state on ties, as the running minimum keeps the earlier one
@@ -75,8 +73,8 @@ def cmd_fuzz(args) -> int:
             bad = ~(slack >= -args.tolerance)
             violations += int(np.count_nonzero(bad))
             for row, value in zip(rows[bad].tolist(), slack[bad].tolist()):
-                offenders.setdefault(start + row, (table.states[row], name, value))
-        start += len(table.states)
+                offenders.setdefault(start + row, (table.amplitudes[row], name, value))
+        start += len(table.amplitudes)
 
     lines = [f"fuzz: n={args.qubits} count={args.count} seed={args.seed} tolerance={args.tolerance:g}"]
     lines.append(f"{'inequality':<28}{'min slack':>24}  satisfied")
@@ -103,9 +101,9 @@ def cmd_fuzz(args) -> int:
         sys.stdout.write(summary)
 
     if violations:
-        for index, (state, name, slack) in sorted(offenders.items())[:8]:
+        for index, (amplitudes, name, slack) in sorted(offenders.items())[:8]:
             path = f"violation-{args.seed}-{index}.json"
-            write_state_file(state, path)
+            write_state_file(PureState(args.qubits, amplitudes), path)
             print(
                 f"violation: {name} slack {slack:.3e} on state {index}; dumped {path}",
                 file=sys.stderr,
@@ -138,9 +136,10 @@ def cmd_wclass_scan(args) -> int:
     rng = np.random.default_rng(args.seed)
     n = args.qubits
     draws = [(rng.dirichlet(np.ones(n)), rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(args.count)]
-    samples = [np.sqrt(moduli_sq) * np.exp(1j * phases) for moduli_sq, phases in draws]
+    samples = np.array([np.sqrt(moduli_sq) * np.exp(1j * phases) for moduli_sq, phases in draws])
     # (count, P) arrays over the pairs i < j of every sample
-    lower, mid, upper = map(np.concatenate, zip(*map(_wclass_chain, _tables(map(wclass_state, samples)))))
+    tables = map(_wclass_chain, _tables(n, args.count, lambda a, b: _weight1_amplitudes(samples[a:b])))
+    lower, mid, upper = map(np.concatenate, zip(*tables))
     gaps_lower, gaps_upper = mid - lower, upper - mid
     # judged as fuzz judges slack, so that a NaN gap is a violation
     bad = np.count_nonzero(~((gaps_lower >= -args.tolerance) & (gaps_upper >= -args.tolerance)))

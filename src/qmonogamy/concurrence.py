@@ -118,10 +118,9 @@ class MarginalTable:
     LAPACK factors each matrix on its own, so state b gets what it gets alone.
     """
 
-    def __init__(self, states):
-        self.states = list(states)
-        self.n_qubits = self.states[0].n_qubits
-        self.amplitudes = np.stack([s.amplitudes for s in self.states])  # (B, 2^n)
+    def __init__(self, amplitudes: np.ndarray):
+        self.amplitudes = amplitudes  # (B, 2^n), admitted by ``states._admit_amplitudes``
+        self.n_qubits = amplitudes.shape[1].bit_length() - 1
         self._purities = {}
 
     @cached_property
@@ -137,7 +136,7 @@ class MarginalTable:
         else:
             w, l = lambda_spectra(self._marginals(pairs))
             _check_floor(w)
-        sq = np.zeros((2, len(self.states), n, n))
+        sq = np.zeros((2, len(self.amplitudes), n, n))
         # float_power is the C library's pow, as Python's float ** is; the ** of arrays multiplies
         sq[:, :, i, j] = sq[:, :, j, i] = np.float_power([_wootters(l), _assistance(l)], 2)
         return sq[0], sq[1]
@@ -145,7 +144,7 @@ class MarginalTable:
     def _marginals(self, keeps: tuple, blocks=False):
         """Reduced matrices rho = M M^H of the same-size subsets ``keeps`` over the stack, (B, K, 2^k, 2^k), and
         with ``blocks`` the amplitude blocks M too, (B, K, 2^k, 2^(n-k)); stores their purities."""
-        n, size = self.n_qubits, len(self.states)
+        n, size = self.n_qubits, len(self.amplitudes)
         family, index = _family_index(n, len(keeps[0])) if len(keeps[0]) <= 2 else ((), None)
         index = index if keeps == family else _block_index(n, keeps)
         group = max(1, _GATHER_ELEMENTS // (size << n))
@@ -192,7 +191,7 @@ def pure_concurrence_sq(state: PureState, left) -> float:
     n = state.n_qubits
     left = _qubits(left, f"left (a proper subset of the {n} qubits)", range(n))
     _qubit_count(len(left), f"the qubit count of left (a proper subset of the {n} qubits)", 1, n - 1)
-    return float(MarginalTable([state]).cut_sq(left)[0, 0])
+    return float(MarginalTable(state.amplitudes[None]).cut_sq(left)[0, 0])
 
 
 def three_tangle(state: PureState, focus: int) -> float:
@@ -202,7 +201,7 @@ def three_tangle(state: PureState, focus: int) -> float:
     """
     _qubit_count(state.n_qubits, "the three-tangle's qubit count", 3, 3)
     (focus,) = _qubits([focus], "focus", range(3))
-    table = MarginalTable([state])
+    table = MarginalTable(state.amplitudes[None])
     total = float(table.cut_sq([focus])[0, 0])
     for csq in table.pair_sq[0][0, focus].tolist():  # C^2(focus, focus) is the table's zero diagonal
         total -= csq

@@ -24,9 +24,10 @@ TRIANGLE_DEGENERATE_EPS = 1e-12
 _MIN_QUBITS = 3  # the bounds' qubit-count minimum: AB|rest needs A, B and a rest (ABC1|rest needs 4)
 
 
-def _table(states: list, minimum: int = _MIN_QUBITS) -> MarginalTable:
-    _qubit_count(states[0].n_qubits, "the bounds' qubit count", minimum)
-    return MarginalTable(states)
+def _table(amplitudes: np.ndarray, minimum: int = _MIN_QUBITS) -> MarginalTable:
+    table = MarginalTable(amplitudes)
+    _qubit_count(table.n_qubits, "the bounds' qubit count", minimum)
+    return table
 
 
 def _tolerance(tolerance):
@@ -63,7 +64,7 @@ def _grow(lower, upper, csq: np.ndarray, casq: np.ndarray, q: int) -> tuple:
 
 def _abc_rest(state: PureState) -> tuple:
     """The ABC1|rest bounds (diff, hub, upper) of one state: the AB|rest bounds grown by C1."""
-    csq, casq = _table([state], 4).pair_sq
+    csq, casq = _table(state.amplitudes[None], 4).pair_sq
     return _grow(_ab_rest_lower(csq, casq)[:, 0, 1], _ab_rest_upper(casq)[:, 0, 1], csq, casq, 2)
 
 
@@ -72,17 +73,17 @@ def ab_rest_lower(state: PureState) -> float:
 
     Raw value of max over the two difference sums; may be negative.
     """
-    return float(_ab_rest_lower(*_table([state]).pair_sq)[0, 0, 1])
+    return float(_ab_rest_lower(*_table(state.amplitudes[None]).pair_sq)[0, 0, 1])
 
 
 def ab_rest_upper(state: PureState) -> float:
     """Upper bound on C^2(AB|rest) from the assistance of AB and all AB-C_i pairs."""
-    return float(_ab_rest_upper(_table([state]).pair_sq[1])[0, 0, 1])
+    return float(_ab_rest_upper(_table(state.amplitudes[None]).pair_sq[1])[0, 0, 1])
 
 
 def concurrence_chain(state: PureState):
     """Triangle chain (|a-b|, c, a+b) with a = C^2(A|rest), b = C^2(B|rest), c = C^2(AB|rest)."""
-    a, b, c = _table([state]).cut_sq([0], [1], [0, 1])[0].tolist()
+    a, b, c = _table(state.amplitudes[None]).cut_sq([0], [1], [0, 1])[0].tolist()
     return abs(a - b), c, a + b
 
 
@@ -101,7 +102,7 @@ def triangle_vectors(state: PureState) -> TriangleVectors:
     ``c_vec`` is laid along the first axis.  When c vanishes the chain forces
     a = b, and the construction degenerates to an antiparallel pair.
     """
-    a, b, c = _table([state]).cut_sq([0], [1], [0, 1])[0].tolist()
+    a, b, c = _table(state.amplitudes[None]).cut_sq([0], [1], [0, 1])[0].tolist()
     if c <= TRIANGLE_DEGENERATE_EPS:
         a_vec = (a, 0.0)
         c_vec = (0.0, 0.0)
@@ -137,11 +138,15 @@ def abc_rest_upper(state: PureState) -> float:
 def wclass_state(coefficients) -> PureState:
     """State supported on Hamming-weight-1 basis labels with the given amplitudes, whose norm ``PureState`` judges."""
     coeffs = np.asarray(list(coefficients), dtype=complex)
-    n = _qubit_count(len(coeffs), "the number of coefficients")
-    amps = np.zeros(2**n, dtype=complex)
-    for i, c in enumerate(coeffs):
-        amps[1 << (n - 1 - i)] = c
-    return PureState(n, amps)
+    return PureState(len(coeffs), _weight1_amplitudes(coeffs[None])[0])
+
+
+def _weight1_amplitudes(coefficients: np.ndarray) -> np.ndarray:
+    """The (B, 2^n) amplitudes of a (B, n) coefficient stack: coefficient k on the label with only qubit k set."""
+    n = _qubit_count(coefficients.shape[1], "the number of coefficients")
+    amps = np.zeros((len(coefficients), 2**n), dtype=complex)
+    amps[:, 1 << np.arange(n - 1, -1, -1)] = coefficients
+    return amps
 
 
 @cache
@@ -178,7 +183,7 @@ def wclass_bounds(state: PureState, i: int, j: int):
     states only: there every two-qubit marginal has C_a = C, so the bounds are
     sums of pair concurrences, and the lower one is |sum_k C^2_ik - C^2_jk|.
     """
-    table = _table([state])
+    table = _table(state.amplitudes[None])
     pair = _qubits((i, j), "the pair (i, j)", range(table.n_qubits))
     if pair != (i, j):
         raise ValueError(f"need i < j, got ({i}, {j})")
@@ -237,7 +242,7 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     are reported separately.
     """
     _tolerance(tolerance)
-    table = _table([state])
+    table = _table(state.amplitudes[None])
     entries = tuple(_entry(name, lhs[0], rhs[0], tolerance) for name, (_, lhs, rhs) in _entries(table).items())
     csq, casq = (sq[0].tolist() for sq in table.pair_sq)
     components = {
@@ -266,7 +271,7 @@ def _entries(table: MarginalTable) -> dict:
     for the W-class bounds the weight-1-supported ones.  ``lhs`` and ``rhs`` are
     arrays over those states.
     """
-    n, everyone = table.n_qubits, np.arange(len(table.states))
+    n, everyone = table.n_qubits, np.arange(len(table.amplitudes))
     pairs, i, j = pair_index(n)
     # the pair fill first: it keeps every pair purity, so no pair is traced twice
     csq, casq = table.pair_sq

@@ -9,7 +9,6 @@ roles follow the same order: qubit 0 plays A, qubit 1 plays B and qubit
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -61,14 +60,42 @@ def _qubit_count(n, name: str, low: int = 1, high: int = MAX_QUBITS) -> int:
     return int(n)
 
 
-def _norm(amps: np.ndarray) -> float:
-    """2-norm of an amplitude vector, taken at an exact power-of-two scale so that no square overflows."""
+def _scaled_norms(amps: np.ndarray) -> tuple:
+    """A (B, L) stack of amplitude rows at an exact power-of-two scale per row, where no square overflows, and each
+    row's 2-norm at that scale and at the rows' own, inf beyond the float range: (B, 1) each."""
     parts = amps.view(float)  # real and imaginary parts, scaled one by one: inf stays inf, with no inf * 0
-    e = math.frexp(float(np.abs(parts).max()))[1]
-    try:
-        return math.ldexp(float(np.linalg.norm(np.ldexp(parts, -e).view(complex))), e)
-    except OverflowError:  # a norm beyond the float range
-        return math.inf
+    e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))[1]
+    scaled = np.ldexp(parts, -e)
+    # rows of real parts and of imaginary parts, (B, 2, 1, L): each row-times-column matmul is the dot product
+    # np.linalg.norm takes, so re.re + im.im keeps its bits
+    rows = scaled.reshape(len(amps), -1, 2).swapaxes(-1, -2)[..., None, :]
+    norm = np.sqrt((rows @ rows.swapaxes(-1, -2)).sum(axis=1)[..., 0])
+    with np.errstate(over="ignore"):
+        return scaled.view(complex), norm, np.ldexp(norm, e)
+
+
+def _admit_amplitudes(n, stack) -> tuple:
+    """The one admission rule for amplitude vectors: ``n`` as an ``int`` and a read-only copy of the (B, 2^n) stack.
+
+    Its rules (qubit count, row length, finite amplitudes, a norm within ``NORM_BOUND`` of 1) each judge the whole
+    stack and raise a coded ``StateError``.  A row whose norm is further than ``NORM_ATOL`` from 1 is divided by it.
+    """
+    n = _qubit_count(n, "n_qubits")
+    amps = np.array(stack, dtype=complex)  # a copy: the caller's array stays writeable
+    if amps.shape[1:] != (2**n,):
+        raise StateError("length", f"amplitude vector must have length 2**{n} = {2**n}, got shape {amps.shape[1:]}")
+    if not np.isfinite(amps).all():
+        raise StateError("finite", "amplitudes must be finite numbers, not NaN or Infinity")
+    norms = _scaled_norms(amps)[2][:, 0]
+    off = np.abs(norms - 1.0)
+    if off.max() > NORM_ATOL:  # a row to reject or to divide by its norm
+        k = np.argmax(off > NORM_BOUND)  # the first row the rule rejects, if any
+        if off[k] > NORM_BOUND:
+            bound = np.format_float_scientific(NORM_BOUND, trim="-", exp_digits=1)  # 1e-6, not 1e-06
+            raise StateError("normalization", f"norm {float(norms[k])} deviates from 1 by more than {bound}")
+        amps[off > NORM_ATOL] /= norms[off > NORM_ATOL, None]
+    amps.flags.writeable = False
+    return n, amps
 
 
 def _admit(rho):
@@ -88,27 +115,15 @@ def _check_floor(eigenvalues):
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over ``n_qubits`` qubits; each of its admission rules raises a coded ``StateError``."""
+    """Normalized amplitude vector over ``n_qubits`` qubits: a stack of one admitted by ``_admit_amplitudes``."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = _qubit_count(self.n_qubits, "n_qubits")
-        amps = np.array(self.amplitudes, dtype=complex)  # a copy: the caller's array stays writeable
-        if amps.shape != (2**n,):
-            raise StateError("length", f"amplitude vector must have length 2**{n} = {2**n}, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise StateError("finite", "amplitudes must be finite numbers, not NaN or Infinity")
-        norm = _norm(amps)
-        if abs(norm - 1.0) > NORM_BOUND:
-            bound = np.format_float_scientific(NORM_BOUND, trim="-", exp_digits=1)  # 1e-6, not 1e-06
-            raise StateError("normalization", f"norm {norm} deviates from 1 by more than {bound}")
-        if abs(norm - 1.0) > NORM_ATOL:
-            amps = amps / norm
-        amps.flags.writeable = False
+        n, amps = _admit_amplitudes(self.n_qubits, [self.amplitudes])
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", amps[0])
 
 
 @dataclass(frozen=True)
@@ -176,11 +191,11 @@ def state_from_basis_terms(n: int, terms: Sequence) -> PureState:
         if len(label) != n or any(ch not in "01" for ch in label):
             raise ValueError(f"basis label {label!r} is not a length-{n} bit string")
         amps[int(label, 2)] += complex(coeff)
-    norm = _norm(amps)
-    if norm < 1e-15:
+    scaled, norm, true_norm = _scaled_norms(amps[None])
+    if true_norm < 1e-15:
         raise ValueError("coefficients sum to the zero vector")
     with np.errstate(invalid="ignore"):  # inf / inf gives NaN, which PureState rejects with code finite
-        return PureState(n, amps / norm)
+        return PureState(n, (scaled / norm)[0])  # at the parts' scale: a norm beyond the float range divides too
 
 
 def partial_trace(state_or_dm: Union[PureState, DensityMatrix], keep: Iterable) -> DensityMatrix:
@@ -227,6 +242,13 @@ def random_haar_state(n: int, seed) -> PureState:
     an existing ``numpy.random.Generator``.
     """
     n = _qubit_count(n, "n")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return PureState(n, z / np.linalg.norm(z))
+    return PureState(n, _haar_amplitudes(n, [seed])[0])
+
+
+def _haar_amplitudes(n: int, seeds) -> np.ndarray:
+    """A (B, 2^n) stack whose row i is the normalized draw of ``random_haar_state`` from ``default_rng(seeds[i])``."""
+    parts = np.empty((len(seeds), 2, 2**n))  # real parts, then imaginary parts, in the generator's order
+    for row, seed in zip(parts, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    scaled, norm, _ = _scaled_norms(parts[:, 0] + 1j * parts[:, 1])
+    return scaled / norm

@@ -24,15 +24,14 @@ def table_work(monkeypatch):
     fill, marginals, take = MarginalTable.__init__, MarginalTable._marginals, np.take
     spectra, kernel = qmonogamy.concurrence.lambda_spectra, qmonogamy.concurrence._factor_spectra
 
-    def counted_fill(self, states):
-        states = list(states)
+    def counted_fill(self, amplitudes):
         owner[id(self)] = len(work.fills)
-        work.fills.append(len(states))
+        work.fills.append(len(amplitudes))
         work.marginals.append(Counter())
         work.gathers.append(0)
         work.spectra.append([])
         work.factors.append([])
-        fill(self, states)
+        fill(self, amplitudes)
         tables.append(self)
         owner[id(self.amplitudes)] = owner[id(self)]
 

@@ -1,4 +1,5 @@
-"""Test helpers shared by several test modules: pair values read one state at a time, and sparse states.
+"""Test helpers shared by several test modules: pair values read one state at a time, sparse states, and the
+amplitude stack a ``MarginalTable`` takes.
 
 Up to 4 qubits a ``MarginalTable`` takes each pair's lambda spectrum from the
 pair's (4, 2^(n-2)) amplitude block M, a factor of its marginal rho = M M^H,
@@ -37,3 +38,8 @@ def sparse_state(n, rng, labels):
     support = rng.choice(labels, rng.integers(2, min(4, len(labels)) + 1), replace=False)
     amps[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
     return PureState(n, amps / np.linalg.norm(amps))
+
+
+def stacked(states):
+    """The (B, 2^n) amplitude stack of ``states``, as a ``MarginalTable`` takes it."""
+    return np.stack([state.amplitudes for state in states])

@@ -23,7 +23,7 @@ from qmonogamy import linear_entropy, partial_trace, random_haar_state, wclass_s
 from qmonogamy.concurrence import MarginalTable
 from qmonogamy.monogamy import _entries, _wclass_chain, is_weight1_supported
 
-from helpers import pair_sq, sparse_state
+from helpers import pair_sq, sparse_state, stacked
 
 
 class Row:
@@ -170,7 +170,7 @@ def mixed_stack(n, count):
 
 def stack_entries(table):
     """``[(inequality, lhs, rhs)]`` of each state of a table, from the stack path."""
-    got = [[] for _ in table.states]
+    got = [[] for _ in table.amplitudes]
     for name, (rows, lhs, rhs) in _entries(table).items():
         for b, left, right in zip(rows.tolist(), lhs.tolist(), rhs.tolist()):
             got[b].append((name, left, right))
@@ -184,14 +184,14 @@ def test_stack_path_equals_per_state_sums(n):
     assert sum(name == "wclass_upper" for row in expected for name, _, _ in row) == 8
     for chunk in (1, 7, 64):
         for start in range(0, len(states), chunk):
-            got = stack_entries(MarginalTable(states[start:start + chunk]))
+            got = stack_entries(MarginalTable(stacked(states[start:start + chunk])))
             assert got == expected[start:start + chunk], f"chunk {chunk} from state {start}"
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_stack_path_within_1e13_of_the_literal_sums(n):
     states = mixed_stack(n, 24)
-    table = MarginalTable(states)
+    table = MarginalTable(stacked(states))
     got = stack_entries(table)
     lower, mid, upper = _wclass_chain(table)
     for b, state in enumerate(states):

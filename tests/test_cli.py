@@ -78,6 +78,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error [normalization]: norm 1e+200 ") and err.count("\n") == 1
 
+    def test_overflowing_norm_file_gives_one_error_line(self, tmp_path, capsys):
+        # 1e308 and 1.7e308 are finite, but their norm is beyond the float range: it reads inf, with no warning
+        path = tmp_path / "overflow.json"
+        path.write_text('{"n_qubits": 3, "amplitudes": [[1e308, 0], [1.7e308, 0]' + ', [0, 0]' * 6 + ']}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == "error [normalization]: norm inf deviates from 1 by more than 1e-6\n"
+
     def test_csv_format(self, sat4_file, tmp_path):
         out = tmp_path / "report.csv"
         assert main(["check", str(sat4_file), "--format", "csv", "--out", str(out)]) == 0
@@ -125,7 +134,7 @@ def assert_first_eight_dumped(directory, capsys, seed, states, failing, inequali
 
 def pair_table(state):
     """The bytes of a state's C_a^2 table, which a stack holding the state gives bit for bit."""
-    return MarginalTable([state]).pair_sq[1].tobytes()
+    return MarginalTable(state.amplitudes[None]).pair_sq[1].tobytes()
 
 
 def broken_rows(broken):
@@ -201,7 +210,8 @@ class TestFuzz(OneFillPerChunk):
         captured = capsys.readouterr()
         assert captured.err == "error [config]: seed must be non-negative\n" and captured.out == ""
 
-    @pytest.mark.parametrize("n", [3, 5])
+    # n = 4 is the benchmark's size and the last on the amplitude-block pair route; n = 5 takes eigh of rho
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_output_does_not_depend_on_the_chunk(self, n, tmp_path, monkeypatch, capsys):
         seed = 4
         for count in (3, 15, 2 * DEFAULT_CHUNK + 1):  # 2 * chunk + 1 for chunks 1, 7 and the default
@@ -364,7 +374,7 @@ class TestWclassScan(OneFillPerChunk):
 
         def broken_chain(table):
             sides = list(chain(table))
-            hit = np.array([state.amplitudes.tobytes() in broken for state in table.states])
+            hit = np.array([row.tobytes() in broken for row in table.amplitudes])
             sides[side] = np.where(hit[:, None], value, sides[side])
             return tuple(sides)
 

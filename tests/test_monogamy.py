@@ -33,7 +33,7 @@ import qmonogamy.concurrence
 from qmonogamy.concurrence import MarginalTable, _block_index
 from qmonogamy.monogamy import _entries, role_name
 
-from helpers import amplitude_block, pair_sq, sparse_state
+from helpers import amplitude_block, pair_sq, sparse_state, stacked
 
 
 def random_wclass_state(n, seed):
@@ -436,7 +436,7 @@ class TestMarginalTable:
         states += [sparse_state(n, rng, np.arange(2**n)) for _ in range(12)]
         states += [state_from_basis_terms(n, [("0" * n, 1)]), state_from_basis_terms(n, [("0" * n, 1), ("1" * n, 1)]),
                    state_from_basis_terms(n, [("0" * q + "1" + "0" * (n - 1 - q), 1) for q in range(n)])]
-        csq, casq = MarginalTable(states).pair_sq
+        csq, casq = MarginalTable(stacked(states)).pair_sq
         for b, state in enumerate(states):
             for i in range(n):
                 for j in range(i + 1, n):
@@ -447,10 +447,10 @@ class TestMarginalTable:
     @pytest.mark.parametrize("n", [3, 4])
     def test_block_route_keeps_the_trace_check(self, n):
         good = [random_haar_state(n, seed) for seed in range(3)]
-        MarginalTable(good).pair_sq
+        MarginalTable(stacked(good)).pair_sq
         off = SimpleNamespace(n_qubits=n, amplitudes=good[1].amplitudes * (1 + 1e-9))
         with pytest.raises(ValueError, match="trace"):
-            MarginalTable([good[0], off, good[2]]).pair_sq
+            MarginalTable(stacked([good[0], off, good[2]])).pair_sq
 
     # how a table reads each kind of marginal: the pair fill, a single, a larger cut
     READS = {(0, 1): lambda table: table.pair_sq, (0,): lambda table: table.cut_sq([0]),
@@ -459,11 +459,11 @@ class TestMarginalTable:
     @pytest.mark.parametrize("keep", READS)
     def test_fill_keeps_the_trace_check(self, keep):
         good = [random_haar_state(6, seed) for seed in range(3)]
-        self.READS[keep](MarginalTable(good))
+        self.READS[keep](MarginalTable(stacked(good)))
         # past the norm check of PureState: the marginal traces are 1 + 2e-9
         off = SimpleNamespace(n_qubits=6, amplitudes=good[1].amplitudes * (1 + 1e-9))
         with pytest.raises(ValueError, match="trace"):
-            self.READS[keep](MarginalTable([good[0], off, good[2]]))
+            self.READS[keep](MarginalTable(stacked([good[0], off, good[2]])))
 
     @pytest.mark.parametrize("keep", READS)
     def test_fill_keeps_the_psd_floor(self, keep, monkeypatch):
@@ -481,9 +481,9 @@ class TestMarginalTable:
 
         monkeypatch.setattr(MarginalTable, "_marginals", shifted)
         states = [random_haar_state(6, 0), state_from_basis_terms(6, [("000000", 1)])]
-        self.READS[keep](MarginalTable(states[:1]))
+        self.READS[keep](MarginalTable(stacked(states[:1])))
         with pytest.raises(ValueError, match="PSD"):
-            self.READS[keep](MarginalTable(states))
+            self.READS[keep](MarginalTable(stacked(states)))
 
     @pytest.mark.parametrize("size", [1, 3])
     @pytest.mark.parametrize("n", [5, 8, 10, 12])
@@ -498,7 +498,7 @@ class TestMarginalTable:
 
         monkeypatch.setattr(MarginalTable, "_marginals", recorded)
         states = [random_haar_state(n, seed) for seed in range(size)]
-        table = MarginalTable(states)
+        table = MarginalTable(stacked(states))
         table.pair_sq
         table.linear_entropies([(q,) for q in range(n)])
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -521,10 +521,10 @@ class TestMarginalTable:
         rng = np.random.default_rng(n + size)
         states = [random_wclass_state(n, rng) if b % 3 == 1 else random_haar_state(n, rng) for b in range(size)]
         subsets = [(q,) for q in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)] + [(0, 1, 2)]
-        stack = MarginalTable(states)
+        stack = MarginalTable(stacked(states))
         pairs, entropies, entries = stack.pair_sq, stack.linear_entropies(subsets), _entries(stack)
         for b, state in enumerate(states):
-            one = MarginalTable([state])
+            one = MarginalTable(stacked([state]))
             for full, alone in zip(pairs, one.pair_sq):
                 np.testing.assert_array_equal(full[b], alone[0])
             np.testing.assert_array_equal(entropies[b], one.linear_entropies(subsets)[0])

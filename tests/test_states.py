@@ -23,7 +23,8 @@ from qmonogamy import (
     wclass_bounds,
     wootters_concurrence,
 )
-from qmonogamy.states import _admit, _norm
+import qmonogamy.cli
+from qmonogamy.states import _admit, _admit_amplitudes, _haar_amplitudes, _scaled_norms
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -188,6 +189,15 @@ class TestStateFromBasisTerms:
             state = state_from_basis_terms(1, [("0", 1e200), ("1", 1e200)])
         np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], rtol=0, atol=1e-16)
 
+    def test_coefficients_whose_norm_overflows_keep_their_ratio(self):
+        # 1e308 and 1.7e308 are finite, but their norm is beyond the float range: the scaled parts divide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = state_from_basis_terms(1, [("0", 1e308), ("1", 1.7e308)])
+        norm = np.hypot(1.0, 1.7)
+        np.testing.assert_allclose(state.amplitudes, [1 / norm, 1.7 / norm], rtol=1e-15, atol=0)
+        assert state.amplitudes[1].real / state.amplitudes[0].real == pytest.approx(1.7, rel=1e-15)
+
     def test_repeated_labels_accumulate(self):
         state = state_from_basis_terms(1, [("0", 1), ("0", 1), ("1", 2)])
         np.testing.assert_allclose(np.abs(state.amplitudes), [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
@@ -219,8 +229,8 @@ class TestPureStateInvariants:
         rng = np.random.default_rng(23)
         for n in range(1, 13):
             z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-            for v in (z, z / np.linalg.norm(z), z * 1e-9, z * 1e9, random_haar_state(n, rng).amplitudes):
-                assert _norm(v) == np.linalg.norm(v)
+            vectors = (z, z / np.linalg.norm(z), z * 1e-9, z * 1e9, random_haar_state(n, rng).amplitudes)
+            assert _scaled_norms(np.stack(vectors))[2][:, 0].tolist() == [np.linalg.norm(v) for v in vectors]
 
     def test_qubit_budget_enforced(self):
         with pytest.raises(ValueError):
@@ -257,6 +267,48 @@ class TestPureStateInvariants:
         state = PureState(1, amps)
         amps[1] = 0.5
         assert state.amplitudes.tolist() == [1.0, 0.0]
+
+
+class TestAmplitudeStackAdmission:
+    """``_admit_amplitudes`` judges a stack as ``PureState`` judges each of its rows alone."""
+
+    GOOD = np.stack([random_haar_state(3, seed).amplitudes for seed in range(4)])
+    ZEROS = [0.0] * 6
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param([np.nan, 1.0] + ZEROS, id="nan"),
+        pytest.param([complex(0, -np.inf), 0.0] + ZEROS, id="inf"),
+        pytest.param([0.5, 0.0] + ZEROS, id="half"),
+        pytest.param([1e200, 0.0] + ZEROS, id="1e200"),
+        pytest.param([1e308, 1.7e308] + ZEROS, id="overflowing-norm"),
+    ])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_bad_row_raises_what_it_raises_alone(self, bad, k):
+        stack = self.GOOD.copy()
+        stack[k] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid-value warning either way
+            with pytest.raises(StateError) as alone:
+                PureState(3, bad)
+            with pytest.raises(StateError) as stacked:
+                _admit_amplitudes(3, stack)
+        assert alone.value.code in ("finite", "normalization")
+        assert (stacked.value.code, str(stacked.value)) == (alone.value.code, str(alone.value))
+
+    def test_each_row_admitted_as_alone(self):
+        # rows off by 1e-9 are divided by their norms, the others keep every bit
+        stack = self.GOOD * np.array([1.0, 1 + 1e-9, 1.0, 1 - 1e-9])[:, None]
+        n, admitted = _admit_amplitudes(3, stack)
+        assert n == 3 and not admitted.flags.writeable and stack.flags.writeable
+        for row, given in zip(admitted, stack):
+            np.testing.assert_array_equal(row, PureState(3, given).amplitudes)
+        np.testing.assert_array_equal(admitted[[0, 2]], self.GOOD[[0, 2]])
+        assert not np.array_equal(admitted[1], stack[1])
+
+    def test_length_judged_per_row(self):
+        with pytest.raises(StateError, match=r"length 2\*\*3 = 8, got shape \(4,\)$") as err:
+            _admit_amplitudes(3, self.GOOD[:, :4])
+        assert err.value.code == "length"
 
 
 class TestDensityMatrixInvariants:
@@ -494,6 +546,19 @@ class TestRandomHaarState:
             random_haar_state(0, 1)
         with pytest.raises(ValueError):
             random_haar_state(13, 1)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_stacked_draw_equals_one_state_at_a_time(self, n):
+        # the fuzz chunk loop draws each chunk as one stack; a count past the chunk crosses a boundary
+        seed, count = 11, qmonogamy.cli.CHUNK + 2
+        draw = lambda a, b: _haar_amplitudes(n, [[seed, i] for i in range(a, b)])
+        rows = np.concatenate([table.amplitudes for table in qmonogamy.cli._tables(n, count, draw)])
+        assert rows.shape == (count, 2**n)
+        for i, row in enumerate(rows):
+            rng = np.random.default_rng([seed, i])
+            z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            assert row.tobytes() == (z / np.linalg.norm(z)).tobytes()  # the draw as one state's formula, bit for bit
+            assert row.tobytes() == random_haar_state(n, np.random.default_rng([seed, i])).amplitudes.tobytes()
 
     def test_mean_marginal_purity_two_qubits(self):
         # mean Tr(rho_A^2) over the invariant measure at n = 2 is
