@@ -8,14 +8,12 @@ matrix from :mod:`qmonogamy.concurrence`, so optimizing over isometries is a
 direct numerical evaluation of the convex-roof minimum or maximum.
 
 The search runs Haar-random restarts of sweeps over the row pairs of V.  A
-sweep steps the pairs in cyclic order (0, 1), (0, 2), ..., (m - 2, m - 1),
-started at (0, 2).  One (0, 1) step on the restarts opens the order, so they
-take the steps of sweeps started at (0, 1), each sweep ending on the next
-one's opening step.  Steps on disjoint rows commute exactly, so a step that
-shares no row with the round before it joins that round, and each round runs
-as one vectorized step.  A four-member sweep is the four rounds ``_ROUNDS``,
-(0, 2) | (0, 3) + (1, 2) | (1, 3) | (2, 3) + (0, 1), with the bits of the six
-steps taken one by one.
+sweep steps each pair once, in rounds of disjoint pairs, each round one
+vectorized step.  Steps on disjoint rows commute exactly, so a round has the
+bits of its steps taken one by one.  A four-member sweep is the three rounds
+``_ROUNDS``, (0, 1) + (2, 3) | (0, 2) + (1, 3) | (0, 3) + (1, 2): the
+round-robin order of parallel Jacobi methods (Brent & Luk, SIAM J. Sci. Stat.
+Comput. 6, 69 (1985)).
 
 Each step rotates one pair of rows by the 2x2 unitary that is exactly optimal
 for the pair's 2x2 block of ``V tau V^T`` (Uhlmann, PRA 62, 032307 (2000);
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import SPIN_FLIP_YY, _support_root
-from .states import DensityMatrix, PureState, _qubit_count
+from .states import DensityMatrix, PureState, _labels, _qubit_count
 
 
 def __getattr__(name: str):
@@ -75,7 +73,7 @@ class EnsembleDecomposition:
     sweeps it used, and whether its stop test fired within ``MAX_SWEEPS``.
     ``converged`` bounds no error: the minimize stop test reads gains of the
     squared sum, which on separable inputs fall below ``STOP_GAIN`` while the
-    returned value is still ~1e-5 above 0.
+    returned value is still up to ~1e-5 above 0.
     """
 
     qubit_labels: tuple
@@ -84,6 +82,13 @@ class EnsembleDecomposition:
     converged: bool | None = None
 
     def __post_init__(self):
+        labels = _labels(self.qubit_labels)
+        _qubit_count(len(labels), "an ensemble's qubit labels", 2, 2)
+        for _, psi in self.members:
+            if not isinstance(psi, PureState):
+                raise TypeError(f"ensemble members must be PureState, got {type(psi).__name__}")
+            _qubit_count(psi.n_qubits, "an ensemble member's qubit count", 2, 2)
+        object.__setattr__(self, "qubit_labels", labels)
         probs = np.array([p for p, _ in self.members])
         if len(probs) == 0 or np.any(probs <= 0) or np.any(probs > 1 + 1e-12):
             raise ValueError("member probabilities must lie in (0, 1]")
@@ -169,7 +174,7 @@ def _pair_rotation(a, b, c, mode: str):
 
 
 # The four-member sweep's rounds (see the module docstring), each the first and the second rows of its pairs.
-_ROUNDS = tuple((np.array(ps), np.array(qs)) for ps, qs in (([0], [2]), ([0, 1], [3, 2]), ([1], [3]), ([2, 0], [3, 1])))
+_ROUNDS = tuple((np.array(ps), np.array(qs)) for ps, qs in (([0, 2], [1, 3]), ([0, 1], [2, 3]), ([0, 1], [3, 2])))
 
 
 def _step(v, p, q, tau, mode):
@@ -216,7 +221,6 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
     tau = basis.T @ SPIN_FLIP_YY @ basis  # the tau of concurrence.lambda_spectra
 
     v = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)
-    _step(v, [0], [1], tau, mode)  # opens the cyclic order; the sweeps continue it from (0, 2)
     score = _score(_diag(v, tau), mode)
     for sweeps in range(1, MAX_SWEEPS + 1):
         _sweep(v, tau, mode)

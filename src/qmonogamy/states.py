@@ -52,6 +52,15 @@ def _qubits(indices, name: str, universe=None) -> tuple:
     return qubits
 
 
+def _labels(given) -> tuple:
+    """Qubit labels as ``_qubits`` judges them, given in ascending order: the labels of a matrix or an ensemble."""
+    given = tuple(given)
+    labels = _qubits(given, "qubit labels")
+    if labels != given:
+        raise ValueError(f"qubit labels must be in ascending order, got {list(given)}")
+    return labels
+
+
 def _qubit_count(n, name: str, low: int = 1, high: int = MAX_QUBITS) -> int:
     """``n`` as an ``int`` in [low, high]: the one qubit-count rule, for states, bounds, measures and the oracle."""
     if not low <= _integer(n, name) <= high:
@@ -140,10 +149,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        given = tuple(self.qubit_labels)
-        labels = _qubits(given, "qubit labels")
-        if labels != given:
-            raise ValueError(f"qubit labels must be in ascending order, got {list(given)}")
+        labels = _labels(self.qubit_labels)
         m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writeable
         dim = 2 ** len(labels)
         if m.shape != (dim, dim):

@@ -12,6 +12,7 @@ import qmonogamy.convex_roof
 from qmonogamy import (
     DensityMatrix,
     EnsembleDecomposition,
+    StateError,
     concurrence_of_assistance,
     convex_roof_optimize,
     partial_trace,
@@ -162,6 +163,40 @@ def test_decomposition_probabilities_validated(probs, match):
     psi = state_from_basis_terms(2, [("00", 1)])
     with pytest.raises(ValueError, match=match):
         EnsembleDecomposition((0, 1), tuple((p, psi) for p in probs))
+
+
+@pytest.mark.parametrize("labels, match", [
+    ((1, 0), "ascending"),
+    ((0, 0), "distinct"),
+    ((-1, 0), "non-negative"),
+    ((0, 1, 2), "2 qubits"),
+    ((0,), "2 qubits"),
+])
+def test_decomposition_labels_validated(labels, match):
+    psi = state_from_basis_terms(2, [("00", 1)])
+    with pytest.raises(ValueError, match=match):
+        EnsembleDecomposition(labels, ((1.0, psi),))
+
+
+def test_decomposition_members_validated():
+    # a three-qubit member used to fail only later, inside average_concurrence's matmul
+    with pytest.raises(StateError, match="2 qubits") as info:
+        EnsembleDecomposition((0, 1), ((1.0, state_from_basis_terms(3, [("000", 1)])),))
+    assert info.value.code == "qubits"
+    with pytest.raises(TypeError, match="ndarray"):
+        EnsembleDecomposition((0, 1), ((1.0, np.array([1, 0, 0, 0], dtype=complex)),))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_oracle_decompositions_pass_their_own_rules(rank):
+    # labels other than (0, 1) pass through unchanged, and rebuilding the ensemble raises nothing
+    m = random_two_qubit_mixed(np.random.default_rng(30 + rank), rank).matrix
+    dm = DensityMatrix((2, 5), m)
+    for mode in ("minimize", "maximize"):
+        _, decomposition = convex_roof_optimize(dm, mode, seed=rank)
+        assert decomposition.qubit_labels == (2, 5)
+        rebuilt = EnsembleDecomposition(decomposition.qubit_labels, decomposition.members)
+        assert rebuilt.reconstruction_error(dm) < 1e-8
 
 
 def test_mode_validated():
@@ -406,8 +441,8 @@ def cyclic_pairs(m):
 
 
 def disjoint_rounds(m):
-    """``cyclic_pairs(m)`` grouped as the module docstring groups them: a pair joins the round before it when it
-    shares no row with that round.  Each round is two index arrays, the first and the second rows of its pairs."""
+    """``cyclic_pairs(m)`` grouped in rounds: a pair joins the round before it when it shares no row with that
+    round.  Each round is two index arrays, the first and the second rows of its pairs."""
     rounds = []
     for p, q in cyclic_pairs(m):
         if rounds and not {p, q} & set(rounds[-1][0] + rounds[-1][1]):
@@ -430,18 +465,30 @@ def sweep(v, tau, mode):
         _step(v, p, q, tau, mode)
 
 
+def sweep_pairs(m):
+    """The row pairs one sweep steps, in order: ``_ROUNDS`` round by round on four rows, else ``cyclic_pairs(m)``."""
+    if m == ENSEMBLE_SIZE:
+        return [pair for r in round_pairs(_ROUNDS) for pair in r]
+    return cyclic_pairs(m)
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_rounds_step_every_pair_once_in_cyclic_order(m):
-    rounds = round_pairs(_ROUNDS if m == ENSEMBLE_SIZE else disjoint_rounds(m))
+    if m == ENSEMBLE_SIZE:  # round-robin: each round's pairs cover every row once
+        rounds = round_pairs(_ROUNDS)
+        assert sorted(sweep_pairs(m)) == [(p, q) for p in range(m) for q in range(p + 1, m)]
+        for r in rounds:
+            assert sorted(row for pair in r for row in pair) == list(range(m))
+        return
+    rounds = round_pairs(disjoint_rounds(m))
     assert [pair for r in rounds for pair in r] == cyclic_pairs(m)
     for r in rounds:
         rows = [row for pair in r for row in pair]
         assert len(set(rows)) == len(rows)  # a round's pairs share no row
 
 
-def test_four_members_sweep_in_four_rounds():
-    expected = [[(0, 2)], [(0, 3), (1, 2)], [(1, 3)], [(2, 3), (0, 1)]]
-    assert round_pairs(_ROUNDS) == round_pairs(disjoint_rounds(ENSEMBLE_SIZE)) == expected
+def test_four_members_sweep_in_three_rounds():
+    assert round_pairs(_ROUNDS) == [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]]
 
 
 def sequential_steps(v, tau, mode, pairs):
@@ -464,14 +511,14 @@ def test_fused_sweep_equals_sequential_steps(mode, rank, m):
     reference = v.copy()
     for _ in range(10):
         sweep(v, tau, mode)
-        sequential_steps(reference, tau, mode, cyclic_pairs(m))
+        sequential_steps(reference, tau, mode, sweep_pairs(m))
         assert np.array_equal(v, reference)
 
 
 @pytest.mark.parametrize("mode", ["minimize", "maximize"])
 def test_restarts_take_the_steps_of_sweeps_started_at_0_1(mode, monkeypatch):
-    # the opening (0, 1) step and the sweeps started at (0, 2) step the restarts through
-    # the sweeps started at (0, 1), one pair at a time, bit for bit
+    # the first sweep starts on the Haar draw, and each sweep steps the restarts
+    # through the six pairs in round order, one pair at a time, bit for bit
     seen = []
     sweep = qmonogamy.convex_roof._sweep
 
@@ -485,12 +532,11 @@ def test_restarts_take_the_steps_of_sweeps_started_at_0_1(mode, monkeypatch):
     assert len(seen) > 2
     tau = tau_matrix(dm.matrix)
     v = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, 3, np.random.default_rng(5))
-    pairs = [(p, q) for p in range(ENSEMBLE_SIZE) for q in range(p + 1, ENSEMBLE_SIZE)]
-    for before in seen:
-        opened = v.copy()
-        sequential_steps(opened, tau, mode, pairs[:1])
-        assert np.array_equal(before, opened)
-        sequential_steps(v, tau, mode, pairs)
+    assert np.array_equal(seen[0], v)
+    for before, after in zip(seen, seen[1:]):
+        stepped = before.copy()
+        sequential_steps(stepped, tau, mode, sweep_pairs(ENSEMBLE_SIZE))
+        assert np.array_equal(after, stepped)
 
 
 def test_restarts_are_haar():
