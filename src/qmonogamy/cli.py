@@ -61,10 +61,10 @@ def cmd_check(args) -> int:
 def cmd_fuzz(args) -> int:
     worst: dict = {}
     violations = 0
-    offenders = {}  # index -> (amplitudes, its first violated entry's name and slack)
-    seeds = [[args.seed, i] for i in range(args.count)]
+    offenders = {}  # the eight lowest indices -> (a copy of the amplitudes, first violated entry name, slack)
     start = 0
-    for table in _tables(args.qubits, args.count, lambda a, b: _haar_amplitudes(args.qubits, seeds[a:b])):
+    for table in _tables(args.qubits, args.count,
+                         lambda a, b: _haar_amplitudes(args.qubits, [[args.seed, i] for i in range(a, b)])):
         for name, (rows, lhs, rhs) in _entries(table).items():
             slack = rhs - lhs
             k = np.argmin(slack)  # the first state on ties, as the running minimum keeps the earlier one
@@ -74,6 +74,7 @@ def cmd_fuzz(args) -> int:
             violations += int(np.count_nonzero(bad))
             for row, value in zip(rows[bad].tolist(), slack[bad].tolist()):
                 offenders.setdefault(start + row, (table.amplitudes[row], name, value))
+        offenders = {i: (amps.copy(), name, value) for i, (amps, name, value) in sorted(offenders.items())[:8]}
         start += len(table.amplitudes)
 
     lines = [f"fuzz: n={args.qubits} count={args.count} seed={args.seed} tolerance={args.tolerance:g}"]

@@ -110,12 +110,12 @@ def _family_index(n: int, k: int) -> tuple:
 class MarginalTable:
     """The marginals of a stack of B pure states and the squared concurrences they give.
 
-    Each marginal is traced on first use, once for the stack, and admitted as ``DensityMatrix`` admits a matrix:
-    trace rule, Hermitian part, PSD floor.  Same-size marginals are traced together, ``_GATHER_ELEMENTS`` at a time:
-    one ``np.take`` through a cached index gathers their amplitude blocks M and one batched matmul forms rho = M M^H.
-    ``pair_sq`` fills every pair with one ``svd`` over the stack.  Up to 4 qubits it factors rho = M M^H by each
-    pair's block M, zero padded to 4 columns, and runs no ``eigh``; from 5 it takes the ``eigh`` root of rho.
-    LAPACK factors each matrix on its own, so state b gets what it gets alone.
+    Each marginal is traced on first use, once for the stack, and admitted by the trace rule and its Hermitian part;
+    the PSD floor is checked wherever eigenvalues are computed.  Same-size marginals are traced together,
+    ``_GATHER_ELEMENTS`` at a time: one ``np.take`` through a cached index gathers their amplitude blocks M and one
+    batched matmul forms rho = M M^H.  ``pair_sq`` fills every pair with one ``svd`` over the stack.  Up to 4 qubits
+    it factors rho = M M^H by each pair's block M, zero padded to 4 columns, and runs no ``eigh`` (so no floor check:
+    M M^H is PSD by construction); from 5 it takes the ``eigh`` root of rho.  LAPACK factors each matrix on its own.
     """
 
     def __init__(self, amplitudes: np.ndarray):

@@ -10,10 +10,10 @@ direct numerical evaluation of the convex-roof minimum or maximum.
 The search runs Haar-random restarts of sweeps over the row pairs of V.  A
 sweep steps each pair once, in rounds of disjoint pairs, each round one
 vectorized step.  Steps on disjoint rows commute exactly, so a round has the
-bits of its steps taken one by one.  A four-member sweep is the three rounds
-``_ROUNDS``, (0, 1) + (2, 3) | (0, 2) + (1, 3) | (0, 3) + (1, 2): the
-round-robin order of parallel Jacobi methods (Brent & Luk, SIAM J. Sci. Stat.
-Comput. 6, 69 (1985)).
+bits of its steps taken one by one.  The rounds, ``_rounds(m)``, cover all m
+rows of V that ``ENSEMBLE_SIZE`` sets, in the round-robin order of parallel
+Jacobi methods (Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 69 (1985)); four
+members take (0, 1) + (2, 3) | (0, 2) + (1, 3) | (0, 3) + (1, 2).
 
 Each step rotates one pair of rows by the 2x2 unitary that is exactly optimal
 for the pair's 2x2 block of ``V tau V^T`` (Uhlmann, PRA 62, 032307 (2000);
@@ -35,6 +35,7 @@ objective gains less than 1e-9 in a sweep; the best restart is returned.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +174,15 @@ def _pair_rotation(a, b, c, mode: str):
     return ch, (nx * unit + 1j * (ny * unit)) / (2 * ch)
 
 
-# The four-member sweep's rounds (see the module docstring), each the first and the second rows of its pairs.
-_ROUNDS = tuple((np.array(ps), np.array(qs)) for ps, qs in (([0, 2], [1, 3]), ([0, 1], [2, 3]), ([0, 1], [3, 2])))
+@functools.cache
+def _rounds(m: int) -> tuple:
+    """The fewest rounds of disjoint row pairs that pair m rows, each the first and the second rows of its pairs.
+    At even m, round r = 0 .. m - 2 holds (0, r + 1) and each pair 0 < a < b with (a - 1) + (b - 1) = 2r
+    (mod m - 1); an odd m takes the rounds of m + 1 rows without row m's pairs."""
+    k = m - 1 + m % 2  # the round count, and the modulus of the rows after 0
+    others = [(a, b) for a in range(1, k) for b in range(a + 1, k + 1)]
+    rounds = ([(0, r + 1)] + [(a, b) for a, b in others if (a + b - 2 - 2 * r) % k == 0] for r in range(k))
+    return tuple(tuple(map(np.array, zip(*(pair for pair in pairs if pair[1] < m)))) for pairs in rounds)
 
 
 def _step(v, p, q, tau, mode):
@@ -189,8 +197,8 @@ def _step(v, p, q, tau, mode):
 
 
 def _sweep(v, tau, mode):
-    """One exact optimizing step per row pair of a four-row V, one vectorized step per round."""
-    for p, q in _ROUNDS:
+    """One exact optimizing step per row pair of V, one vectorized step per round."""
+    for p, q in _rounds(v.shape[1]):
         _step(v, p, q, tau, mode)
 
 
@@ -213,25 +221,20 @@ def convex_roof_optimize(dm: DensityMatrix, mode: str, seed=0):
 
     root = _support_root(dm.matrix)[1]
     basis = root[:, root.any(axis=0)]  # the nonzero columns sqrt(mu_j)|e_j> span the support
-    if basis.shape[1] == 1:
-        psi = basis[:, 0] / np.linalg.norm(basis[:, 0])
-        decomposition = EnsembleDecomposition(dm.qubit_labels, ((1.0, PureState(2, psi)),), 0, True)
-        return decomposition.average_concurrence(), decomposition
-
-    tau = basis.T @ SPIN_FLIP_YY @ basis  # the tau of concurrence.lambda_spectra
-
-    v = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)
-    score = _score(_diag(v, tau), mode)
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        _sweep(v, tau, mode)
-        gain = _score(_diag(v, tau), mode) - score
-        score += gain
-        converged = bool(np.all(gain[np.argsort(score)[-LEADERS:]] < STOP_GAIN))
-        if converged:
-            break
-
-    best = _score(_diag(v, tau), "maximize")
-    best_v = v[np.argmax(best if mode == "maximize" else -best)]
+    best_v, sweeps, converged = np.ones((1, 1)), 0, True  # a pure input is its own one member
+    if basis.shape[1] > 1:
+        tau = basis.T @ SPIN_FLIP_YY @ basis  # the tau of concurrence.lambda_spectra
+        v = _haar_isometries(RESTARTS, ENSEMBLE_SIZE, basis.shape[1], rng)
+        score = _score(_diag(v, tau), mode)
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            _sweep(v, tau, mode)
+            gain = _score(_diag(v, tau), mode) - score
+            score += gain
+            converged = bool(np.all(gain[np.argsort(score)[-LEADERS:]] < STOP_GAIN))
+            if converged:
+                break
+        best = _score(_diag(v, tau), "maximize")
+        best_v = v[np.argmax(best if mode == "maximize" else -best)]
 
     members = []
     for row in best_v:

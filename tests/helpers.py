@@ -1,5 +1,5 @@
-"""Test helpers shared by several test modules: pair values read one state at a time, sparse states, and the
-amplitude stack a ``MarginalTable`` takes.
+"""Test helpers shared by several test modules: pair values read one state at a time, sparse states, the
+amplitude stack a ``MarginalTable`` takes, random two-qubit mixtures and Haar unitaries.
 
 Up to 4 qubits a ``MarginalTable`` takes each pair's lambda spectrum from the
 pair's (4, 2^(n-2)) amplitude block M, a factor of its marginal rho = M M^H,
@@ -10,7 +10,7 @@ so a reference that reads it gets the table's bits at every n.
 
 import numpy as np
 
-from qmonogamy import PureState, concurrence_of_assistance, partial_trace, wootters_concurrence
+from qmonogamy import DensityMatrix, PureState, concurrence_of_assistance, partial_trace, wootters_concurrence
 from qmonogamy.concurrence import _assistance, _factor_spectra, _wootters
 
 
@@ -43,3 +43,19 @@ def sparse_state(n, rng, labels):
 def stacked(states):
     """The (B, 2^n) amplitude stack of ``states``, as a ``MarginalTable`` takes it."""
     return np.stack([state.amplitudes for state in states])
+
+
+def random_two_qubit_mixed(rng, rank):
+    """A random two-qubit density matrix of the given rank: a weighted sum of ``rank`` complex Gaussian projectors."""
+    m = np.zeros((4, 4), dtype=complex)
+    for _ in range(rank):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        m += rng.uniform(0.2, 1.0) * np.outer(v, v.conj())
+    m /= np.trace(m).real
+    return DensityMatrix((0, 1), m)
+
+
+def random_unitary(rng, k):
+    """A Haar-random k x k unitary: QR's Q with R's diagonal made positive."""
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from qmonogamy import (
-    DensityMatrix,
     Partition,
     ab_rest_lower,
     ab_rest_upper,
@@ -32,6 +31,8 @@ from qmonogamy import (
     wootters_concurrence,
 )
 from qmonogamy.convex_roof import MAX_SWEEPS
+
+from helpers import random_two_qubit_mixed
 
 SQRT2 = np.sqrt(2)
 SQRT15 = np.sqrt(15)
@@ -130,11 +131,7 @@ def test_convex_roof_oracle_agreement():
     min_sweeps, unconverged = [], 0
     for index in range(200):
         rank = 1 + index % 4
-        m = np.zeros((4, 4), dtype=complex)
-        for _ in range(rank):
-            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            m += rng.uniform(0.2, 1.0) * np.outer(v, v.conj())
-        dm = DensityMatrix((0, 1), m / np.trace(m).real)
+        dm = random_two_qubit_mixed(rng, rank)
         vmin, dec_min = convex_roof_optimize(dm, "minimize", seed=np.random.default_rng([1, index]))
         vmax, dec_max = convex_roof_optimize(dm, "maximize", seed=np.random.default_rng([2, index]))
         worst_min = max(worst_min, abs(vmin - wootters_concurrence(dm)))

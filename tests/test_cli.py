@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -270,6 +271,21 @@ class TestFuzz(OneFillPerChunk):
                      "--out", "fuzz.json"]) == 2
         assert json.loads((tmp_path / "fuzz.json").read_text())["violations"] == 2 * len(failing)
         assert_first_eight_dumped(tmp_path, capsys, seed, states, failing, "abc_rest_lower_hub")
+
+    def test_memory_does_not_grow_with_the_count(self, tmp_path, monkeypatch, capsys):
+        # every state violates, yet only the eight lowest offenders are kept, and each chunk builds its own seeds:
+        # an up-front seed list adds 0.3 MB at count 3000, and offenders that keep their chunks alive 1.3 MB
+        monkeypatch.setattr(qmonogamy.cli, "CHUNK", 32)
+        upper = qmonogamy.monogamy._ab_rest_upper
+        monkeypatch.setattr(qmonogamy.monogamy, "_ab_rest_upper", lambda ca_sq: upper(ca_sq) - 50)
+        monkeypatch.chdir(tmp_path)
+        peaks = []
+        for count in (100, 100, 3000):  # the first run fills the caches
+            tracemalloc.start()
+            assert main(["fuzz", "--qubits", "3", "--count", str(count), "--seed", "1"]) == 2
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 150_000, peaks
 
 
 class TestReproducePaper:

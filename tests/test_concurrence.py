@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from qmonogamy import (
 )
 from qmonogamy.concurrence import RANK_CUTOFF, lambda_spectra
 
+from helpers import random_two_qubit_mixed, random_unitary
+
 SQRT2 = np.sqrt(2)
 
 
@@ -32,15 +36,6 @@ def ghz(n):
 
 def w_state(n):
     return state_from_basis_terms(n, [("0" * i + "1" + "0" * (n - 1 - i), 1) for i in range(n)])
-
-
-def random_two_qubit_mixed(rng, rank):
-    m = np.zeros((4, 4), dtype=complex)
-    for _ in range(rank):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        m += rng.uniform(0.2, 1.0) * np.outer(v, v.conj())
-    m /= np.trace(m).real
-    return DensityMatrix((0, 1), m)
 
 
 class TestSpinFlip:
@@ -269,13 +264,7 @@ class TestMonogamyProperties:
 
 
 def random_single_qubit_unitaries(n, rng):
-    out = np.eye(1)
-    for _ in range(n):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        q, r = np.linalg.qr(z)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        out = np.kron(out, q)
-    return out
+    return functools.reduce(np.kron, (random_unitary(rng, 2) for _ in range(n)), np.eye(1))
 
 
 class TestLocalUnitaryInvariance:

@@ -25,14 +25,15 @@ from qmonogamy.convex_roof import (
     LEADERS,
     RESTARTS,
     STOP_GAIN,
-    _ROUNDS,
     _diag,
     _haar_isometries,
     _pair_rotation,
+    _rounds,
     _score,
-    _step,
     _sweep,
 )
+
+from helpers import random_two_qubit_mixed, random_unitary
 
 ORACLE_ATOL = 1e-3
 
@@ -49,15 +50,6 @@ def tau_matrix(matrix):
     return basis.T @ SPIN_FLIP_YY @ basis
 
 
-def random_two_qubit_mixed(rng, rank):
-    m = np.zeros((4, 4), dtype=complex)
-    for _ in range(rank):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        m += rng.uniform(0.2, 1.0) * np.outer(v, v.conj())
-    m /= np.trace(m).real
-    return DensityMatrix((0, 1), m)
-
-
 def test_pure_bell_input_single_member():
     bell = state_from_basis_terms(2, [("00", 1), ("11", 1)])
     rho = partial_trace(bell, [0, 1])
@@ -65,6 +57,7 @@ def test_pure_bell_input_single_member():
         value, decomposition = convex_roof_optimize(rho, mode, seed=3)
         assert value == pytest.approx(1.0, abs=1e-10)
         assert len(decomposition.members) == 1
+        assert (decomposition.sweeps, decomposition.converged) == (0, True)
 
 
 def test_maximally_mixed_minimize_zero():
@@ -111,11 +104,8 @@ def test_diagnostics_of_a_capped_call(monkeypatch):
 
 
 def test_diagnostics_of_converged_calls():
-    bell = partial_trace(state_from_basis_terms(2, [("00", 1), ("11", 1)]), [0, 1])
     dm = random_two_qubit_mixed(np.random.default_rng(23), 4)
     for mode in ("minimize", "maximize"):
-        _, decomposition = convex_roof_optimize(bell, mode, seed=5)
-        assert (decomposition.sweeps, decomposition.converged) == (0, True)
         _, decomposition = convex_roof_optimize(dm, mode, seed=5)
         assert decomposition.converged is True
         assert 1 <= decomposition.sweeps < qmonogamy.convex_roof.MAX_SWEEPS
@@ -188,7 +178,7 @@ def test_decomposition_members_validated():
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_oracle_decompositions_pass_their_own_rules(rank):
+def test_oracle_decompositions_pass_their_own_rules(rank, monkeypatch):
     # labels other than (0, 1) pass through unchanged, and rebuilding the ensemble raises nothing
     m = random_two_qubit_mixed(np.random.default_rng(30 + rank), rank).matrix
     dm = DensityMatrix((2, 5), m)
@@ -197,6 +187,11 @@ def test_oracle_decompositions_pass_their_own_rules(rank):
         assert decomposition.qubit_labels == (2, 5)
         rebuilt = EnsembleDecomposition(decomposition.qubit_labels, decomposition.members)
         assert rebuilt.reconstruction_error(dm) < 1e-8
+    # every rank, a pure input too, leaves through the reconstruction check
+    monkeypatch.setattr(qmonogamy.convex_roof, "RECONSTRUCTION_ATOL", -1.0)
+    for mode in ("minimize", "maximize"):
+        with pytest.raises(RuntimeError, match="off by"):
+            convex_roof_optimize(dm, mode, seed=rank)
 
 
 def test_mode_validated():
@@ -214,12 +209,7 @@ def test_two_qubits_required():
 def test_local_unitary_invariance_at_oracle_tolerance():
     rng = np.random.default_rng(3141)
     dm = random_two_qubit_mixed(rng, 3)
-    locals_ = []
-    for _ in range(2):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        q, r = np.linalg.qr(z)
-        locals_.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    u = np.kron(locals_[0], locals_[1])
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
     rotated = DensityMatrix((0, 1), u @ dm.matrix @ u.conj().T)
     for mode in ("minimize", "maximize"):
         a = convex_roof_optimize(dm, mode, seed=9)[0]
@@ -247,11 +237,6 @@ def test_agreement_with_closed_forms_per_rank(rank):
 def random_symmetric_block(rng, scale=1.0):
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     return scale * (z + z.T) / 2
-
-
-def random_unitary(rng, k):
-    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def unitaries(ch, s):
@@ -389,8 +374,10 @@ class TestPairStep:
         rng = np.random.default_rng(10 * rank + m)
         tau = tau_matrix(random_two_qubit_mixed(rng, rank).matrix)
         v = _haar_isometries(6, m, rank, rng)
+        before = v.copy()
         for _ in range(10):
-            sweep(v, tau, mode)
+            _sweep(v, tau, mode)
+        assert np.all(np.any(v != before, axis=-1))  # the sweeps moved every row of V, not four fixed rows
         assert np.allclose(v.conj().swapaxes(1, 2) @ v, np.eye(rank), atol=1e-12)
         if m == rank:  # square V: its rows are orthonormal too
             assert np.allclose(v @ v.conj().swapaxes(1, 2), np.eye(m), atol=1e-12)
@@ -434,61 +421,28 @@ def test_sweep_makes_no_lapack_call(mode, rank, monkeypatch):
     assert np.all(_score(diagonal(v, tau), mode) >= _score(diagonal(before, tau), mode) - 1e-12)
 
 
-def cyclic_pairs(m):
-    """The row pairs (0, 1), (0, 2), ..., (m - 2, m - 1), started one step later, at (0, 2)."""
-    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
-    return pairs[1:] + pairs[:1]
-
-
-def disjoint_rounds(m):
-    """``cyclic_pairs(m)`` grouped in rounds: a pair joins the round before it when it shares no row with that
-    round.  Each round is two index arrays, the first and the second rows of its pairs."""
-    rounds = []
-    for p, q in cyclic_pairs(m):
-        if rounds and not {p, q} & set(rounds[-1][0] + rounds[-1][1]):
-            rounds[-1][0].append(p)
-            rounds[-1][1].append(q)
-        else:
-            rounds.append(([p], [q]))
-    return [(np.array(ps), np.array(qs)) for ps, qs in rounds]
-
-
 def round_pairs(rounds):
     return [[(int(p), int(q)) for p, q in zip(ps, qs)] for ps, qs in rounds]
 
 
-def sweep(v, tau, mode):
-    """``_sweep`` on four rows; on m rows, ``_step`` over ``disjoint_rounds(m)`` as ``_sweep`` steps over ``_ROUNDS``."""
-    if v.shape[1] == ENSEMBLE_SIZE:
-        return _sweep(v, tau, mode)
-    for p, q in disjoint_rounds(v.shape[1]):
-        _step(v, p, q, tau, mode)
-
-
-def sweep_pairs(m):
-    """The row pairs one sweep steps, in order: ``_ROUNDS`` round by round on four rows, else ``cyclic_pairs(m)``."""
-    if m == ENSEMBLE_SIZE:
-        return [pair for r in round_pairs(_ROUNDS) for pair in r]
-    return cyclic_pairs(m)
-
-
 @pytest.mark.parametrize("m", range(2, 9))
 def test_rounds_step_every_pair_once_in_cyclic_order(m):
-    if m == ENSEMBLE_SIZE:  # round-robin: each round's pairs cover every row once
-        rounds = round_pairs(_ROUNDS)
-        assert sorted(sweep_pairs(m)) == [(p, q) for p in range(m) for q in range(p + 1, m)]
-        for r in rounds:
-            assert sorted(row for pair in r for row in pair) == list(range(m))
-        return
-    rounds = round_pairs(disjoint_rounds(m))
-    assert [pair for r in rounds for pair in r] == cyclic_pairs(m)
-    for r in rounds:
-        rows = [row for pair in r for row in pair]
-        assert len(set(rows)) == len(rows)  # a round's pairs share no row
+    # the fewest rounds of disjoint pairs, as one holds at most m // 2 pairs; at even m each round turns the
+    # one before it, rows after 0 one place round their circle; odd m drops row m's pairs from m + 1 rows
+    rounds = round_pairs(_rounds(m))
+    assert len(rounds) == m - 1 + m % 2
+    assert sorted(sum(rounds, [])) == [(p, q) for p in range(m) for q in range(p + 1, m)]
+    assert all(len({row for pair in r for row in pair}) == 2 * len(r) for r in rounds)
+    if m % 2:
+        assert rounds == [[pair for pair in r if m not in pair] for r in round_pairs(_rounds(m + 1))]
+    else:
+        turn = [0, *range(2, m), 1]
+        assert all({frozenset((turn[p], turn[q])) for p, q in r} == set(map(frozenset, after))
+                   for r, after in zip(rounds, rounds[1:]))
 
 
 def test_four_members_sweep_in_three_rounds():
-    assert round_pairs(_ROUNDS) == [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]]
+    assert round_pairs(_rounds(4)) == [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]]
 
 
 def sequential_steps(v, tau, mode, pairs):
@@ -510,8 +464,8 @@ def test_fused_sweep_equals_sequential_steps(mode, rank, m):
     v = _haar_isometries(32, m, rank, rng)
     reference = v.copy()
     for _ in range(10):
-        sweep(v, tau, mode)
-        sequential_steps(reference, tau, mode, sweep_pairs(m))
+        _sweep(v, tau, mode)
+        sequential_steps(reference, tau, mode, sum(round_pairs(_rounds(m)), []))
         assert np.array_equal(v, reference)
 
 
@@ -535,7 +489,7 @@ def test_restarts_take_the_steps_of_sweeps_started_at_0_1(mode, monkeypatch):
     assert np.array_equal(seen[0], v)
     for before, after in zip(seen, seen[1:]):
         stepped = before.copy()
-        sequential_steps(stepped, tau, mode, sweep_pairs(ENSEMBLE_SIZE))
+        sequential_steps(stepped, tau, mode, sum(round_pairs(_rounds(ENSEMBLE_SIZE)), []))
         assert np.array_equal(after, stepped)
 
 
