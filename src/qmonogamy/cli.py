@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -36,6 +36,63 @@ def _entries_csv(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The JSON documents the CLI writes, each exactly as ``json.dumps(doc, indent=2) + "\n"`` lays it out (ASCII only),
+# from one template per document shape: with ``indent`` set, ``json`` runs its pure-Python encoder, which takes 2-3
+# times as long.  Each template names its keys in the order the document holds them and reads each value as the
+# type the document gives it: str, int, bool, or float (spelled as ``json`` spells it, NaN and +-Infinity included).
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_num(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_SPECIAL.get(text, text)
+
+
+def _json_bool(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _json_block(items: list, brackets: str) -> str:
+    """A list or dict at the second level, from the JSON texts of its items."""
+    return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}" if items else brackets
+
+
+def _json_bound(e: dict) -> str:
+    """The lhs, rhs, slack and satisfied fields of a bound entry, at the third level."""
+    return (f'"lhs": {_json_num(e["lhs"])},\n      "rhs": {_json_num(e["rhs"])},\n'
+            f'      "slack": {_json_num(e["slack"])},\n      "satisfied": {_json_bool(e["satisfied"])}')
+
+
+def _json_report(doc: dict) -> str:
+    """The ``check`` report, ``BoundReport.to_dict()``."""
+    entries = [f'{{\n      "inequality": {_json_str(e["inequality"])},\n      {_json_bound(e)}\n    }}'
+               for e in doc["entries"]]
+    components = [f'{_json_str(pair)}: {{\n      "concurrence_sq": {_json_num(c["concurrence_sq"])},\n'
+                  f'      "assistance_sq": {_json_num(c["assistance_sq"])}\n    }}'
+                  for pair, c in doc["components"].items()]
+    return (f'{{\n  "state_id": {_json_str(doc["state_id"])},\n  "n_qubits": {doc["n_qubits"]},\n'
+            f'  "tolerance": {_json_num(doc["tolerance"])},\n  "entries": {_json_block(entries, "[]")},\n'
+            f'  "components": {_json_block(components, "{}")}\n}}\n')
+
+
+def _json_fuzz(doc: dict) -> str:
+    """The ``fuzz --out`` summary."""
+    config = doc["config"]
+    rows = [f'{_json_str(name)}: {{\n      {_json_bound(e)}\n    }}' for name, e in doc["min_slack"].items()]
+    return (f'{{\n  "config": {{\n    "qubits": {config["qubits"]},\n    "count": {config["count"]},\n'
+            f'    "seed": {config["seed"]},\n    "tolerance": {_json_num(config["tolerance"])}\n  }},\n'
+            f'  "min_slack": {_json_block(rows, "{}")},\n  "violations": {doc["violations"]}\n}}\n')
+
+
+def _json_checks(doc: dict) -> str:
+    """The ``reproduce-paper --out`` checks."""
+    checks = [f'{{\n      "case": {_json_str(r["case"])},\n      "quantity": {_json_str(r["quantity"])},\n'
+              f'      "expected": {_json_num(r["expected"])},\n      "computed": {_json_num(r["computed"])},\n'
+              f'      "tolerance": {_json_num(r["tolerance"])},\n      "ok": {_json_bool(r["ok"])},\n'
+              f'      "note": {_json_str(r["note"])}\n    }}' for r in doc["checks"]]
+    return f'{{\n  "checks": {_json_block(checks, "[]")},\n  "failures": {doc["failures"]}\n}}\n'
+
+
 def _tables(n: int, count: int, rows):
     """One ``MarginalTable`` per ``CHUNK`` states, in order; ``rows(start, stop)`` stacks their amplitudes."""
     for start in range(0, count, CHUNK):
@@ -53,7 +110,7 @@ def _emit(text: str, out: str | None):
 def cmd_check(args) -> int:
     state = read_state_file(args.state_file)
     report = evaluate_all(state, tolerance=args.tolerance, state_id=str(args.state_file))
-    text = _entries_csv(report.entries) if args.format == "csv" else json.dumps(report.to_dict(), indent=2) + "\n"
+    text = _entries_csv(report.entries) if args.format == "csv" else _json_report(report.to_dict())
     _emit(text, args.out)
     return 0 if report.all_satisfied() else 2
 
@@ -65,15 +122,29 @@ def cmd_fuzz(args) -> int:
     start = 0
     for table in _tables(args.qubits, args.count,
                          lambda a, b: _haar_amplitudes(args.qubits, [[args.seed, i] for i in range(a, b)])):
-        for name, (rows, lhs, rhs) in _entries(table).items():
+        entries = _entries(table)
+        # one (E, R) slack matrix per row set: the entries over every state of the chunk, then the W-class entries
+        # over its weight-1 states, which come last in ``_entries`` order
+        groups = {}
+        for name, (rows, _, _) in entries.items():
+            groups.setdefault(len(rows), []).append(name)
+        for names in groups.values():
+            rows = entries[names[0]][0]
+            lhs = np.array([entries[name][1] for name in names])
+            rhs = np.array([entries[name][2] for name in names])
             slack = rhs - lhs
-            k = np.argmin(slack)  # the first state on ties, as the running minimum keeps the earlier one
-            if name not in worst or slack[k] < worst[name].slack:
-                worst[name] = _entry(name, lhs[k], rhs[k], args.tolerance)
+            # the first state on ties (and the first NaN), as the running minimum keeps the earlier one
+            pick = np.arange(len(names)), slack.argmin(axis=1)
+            for name, low, high in zip(names, lhs[pick].tolist(), rhs[pick].tolist()):
+                if name not in worst or high - low < worst[name].slack:
+                    worst[name] = _entry(name, low, high, args.tolerance)
             bad = ~(slack >= -args.tolerance)
-            violations += int(np.count_nonzero(bad))
-            for row, value in zip(rows[bad].tolist(), slack[bad].tolist()):
-                offenders.setdefault(start + row, (table.amplitudes[row], name, value))
+            found = int(np.count_nonzero(bad))
+            if found:
+                violations += found
+                at, which = np.nonzero(bad.T)  # row-major: each state's violated entries in ``_entries`` order
+                for row, e, value in zip(rows[at].tolist(), which.tolist(), slack[which, at].tolist()):
+                    offenders.setdefault(start + row, (table.amplitudes[row], names[e], value))
         offenders = {i: (amps.copy(), name, value) for i, (amps, name, value) in sorted(offenders.items())[:8]}
         start += len(table.amplitudes)
 
@@ -98,7 +169,7 @@ def cmd_fuzz(args) -> int:
             "violations": violations,
         }
         if args.out:
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+            _emit(_json_fuzz(payload), args.out)
         sys.stdout.write(summary)
 
     if violations:
@@ -129,7 +200,7 @@ def cmd_reproduce_paper(args) -> int:
     failures = sum(not row["ok"] for row in rows)
     print(f"{len(rows) - failures}/{len(rows)} checks passed")
     if args.out:
-        _emit(json.dumps({"checks": rows, "failures": failures}, indent=2) + "\n", args.out)
+        _emit(_json_checks({"checks": rows, "failures": failures}), args.out)
     return 0 if failures == 0 else 2
 
 

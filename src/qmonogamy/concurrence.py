@@ -8,7 +8,8 @@ are both functions of the same spectrum: the descending square roots
 factor F with rho = F F^H are the singular values of ``F^T YY F``.
 ``MarginalTable`` holds these values, and the purities the bounds read, for a
 stack of pure states: it gathers the amplitude blocks M of same-size marginals
-through a cached index and forms their rho = M M^H by one batched matmul a gather.
+through one index (cached for the singles and the pairs) and forms their rho = M M^H
+by one batched matmul a gather.
 """
 
 from __future__ import annotations
@@ -111,9 +112,11 @@ class MarginalTable:
     """The marginals of a stack of B pure states and the squared concurrences they give.
 
     Each marginal is traced on first use, once for the stack, and admitted by the trace rule and its Hermitian part;
-    the PSD floor is checked wherever eigenvalues are computed.  Same-size marginals are traced together,
-    ``_GATHER_ELEMENTS`` at a time: one ``np.take`` through a cached index gathers their amplitude blocks M and one
-    batched matmul forms rho = M M^H.  ``pair_sq`` fills every pair with one ``svd`` over the stack.  Up to 4 qubits
+    the PSD floor is checked wherever eigenvalues are computed.  Same-size marginals are traced together, as many
+    a gather as fit in ``_GATHER_ELEMENTS`` amplitudes but at least one (so a stack of 64 at n = 12 gathers one 4 MB
+    marginal at a time): one ``np.take`` gathers their amplitude blocks M and one batched matmul forms rho = M M^H.
+    The index of the singles and of the pairs is cached per qubit count; any other family's, such as the ABC1|rest
+    cut's, is built on each fill.  ``pair_sq`` fills every pair with one ``svd`` over the stack.  Up to 4 qubits
     it factors rho = M M^H by each pair's block M, zero padded to 4 columns, and runs no ``eigh`` (so no floor check:
     M M^H is PSD by construction); from 5 it takes the ``eigh`` root of rho.  LAPACK factors each matrix on its own.
     """

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 from collections import Counter
@@ -14,7 +15,7 @@ from qmonogamy import (PureState, StateError, ab_rest_lower, abc_rest_upper, eva
                        read_state_file, state_from_basis_terms, wclass_bounds, write_state_file)
 from qmonogamy.cli import CHUNK as DEFAULT_CHUNK, main
 from qmonogamy.concurrence import MarginalTable
-from qmonogamy.monogamy import BoundEntry, BoundReport, wclass_state
+from qmonogamy.monogamy import BoundEntry, BoundReport, _entry, _weight1_amplitudes, wclass_state
 
 
 @pytest.fixture
@@ -288,6 +289,114 @@ class TestFuzz(OneFillPerChunk):
         assert peaks[2] - peaks[1] < 150_000, peaks
 
 
+def reference_fold(chunks, tolerance=1e-7):
+    """The fold ``fuzz`` made before its slack matrices, one inequality at a time, over ``(amplitudes, entries)``
+    per chunk: the least-slack entries, the violation count and the eight lowest offenders, (index, (name, slack))."""
+    worst, violations, offenders, start = {}, 0, {}, 0
+    for amplitudes, entries in chunks:
+        for name, (rows, lhs, rhs) in entries.items():
+            slack = rhs - lhs
+            k = np.argmin(slack)
+            if name not in worst or slack[k] < worst[name].slack:
+                worst[name] = _entry(name, lhs[k], rhs[k], tolerance)
+            bad = ~(slack >= -tolerance)
+            violations += int(np.count_nonzero(bad))
+            for row, value in zip(rows[bad].tolist(), slack[bad].tolist()):
+                offenders.setdefault(start + row, (name, value))
+        start += len(amplitudes)
+    return worst, violations, sorted(offenders.items())[:8]
+
+
+class TestFuzzFold:
+    """``fuzz`` folds each chunk as one slack matrix per row set, and must report what the per-entry fold reports."""
+
+    @staticmethod
+    def fold(tmp_path, monkeypatch, capsys, count, chunk, plants, seed=5):
+        """Run ``fuzz --qubits 4`` with ``plants[name][index]`` added to the lhs of entry ``name`` on state
+        ``index``, check its report against the reference fold of the same chunks, and return the --out
+        document, the chunks' entries and the reference offenders."""
+        chunks, entries = [], qmonogamy.cli._entries
+
+        def planted(table):
+            start = sum(len(amplitudes) for amplitudes, _ in chunks)
+            found = entries(table)
+            for name, marks in plants.items():
+                if name in found:
+                    rows, lhs, rhs = found[name]
+                    found[name] = (rows, lhs + [marks.get(start + row, 0.0) for row in rows.tolist()], rhs)
+            chunks.append((table.amplitudes.copy(), found))
+            return found
+
+        monkeypatch.setattr(qmonogamy.cli, "CHUNK", chunk)
+        monkeypatch.setattr(qmonogamy.cli, "_entries", planted)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code = main(["fuzz", "--qubits", "4", "--count", str(count), "--seed", str(seed), "--out", "fuzz.json"])
+        worst, violations, offenders = reference_fold(chunks)
+        doc = json.loads((tmp_path / "fuzz.json").read_text())
+        # compared as JSON text, in which a NaN slack equals a NaN slack
+        assert json.dumps(doc["min_slack"]) == json.dumps({
+            name: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
+            for name, e in worst.items()})
+        assert doc["violations"] == violations and code == (2 if violations else 0)
+        assert capsys.readouterr().err.splitlines() == [
+            f"violation: {name} slack {value:.3e} on state {index}; dumped violation-{seed}-{index}.json"
+            for index, (name, value) in offenders]
+        assert sorted(p.name for p in tmp_path.glob("violation-*")) == sorted(
+            f"violation-{seed}-{index}.json" for index, _ in offenders)
+        stack = np.concatenate([amplitudes for amplitudes, _ in chunks])
+        for index, _ in offenders:
+            reloaded = read_state_file(tmp_path / f"violation-{seed}-{index}.json")
+            np.testing.assert_array_equal(reloaded.amplitudes, stack[index])
+        return doc, chunks, offenders
+
+    def test_violations_on_several_entries_across_chunks(self, tmp_path, monkeypatch, capsys):
+        # nine states on four entries over five chunks of 5; states 7 and 12 violate two entries or three
+        plants = {"ckw": dict.fromkeys([1, 7, 12, 20], 10.0),
+                  "lin_entropy_upper": dict.fromkeys([7, 8, 14, 22], 10.0),
+                  "abc_rest_upper": dict.fromkeys([3, 12, 19], 10.0),
+                  "ab_rest_lower": {12: 10.0}}
+        doc, _, offenders = self.fold(tmp_path, monkeypatch, capsys, 23, 5, plants)
+        assert doc["violations"] == 12
+        assert [(index, name) for index, (name, _) in offenders] == [
+            (1, "ckw"), (3, "abc_rest_upper"), (7, "ckw"), (8, "lin_entropy_upper"), (12, "ab_rest_lower"),
+            (14, "lin_entropy_upper"), (19, "abc_rest_upper"), (20, "ckw")]
+
+    def test_nan_slacks_are_violations(self, tmp_path, monkeypatch, capsys):
+        # a NaN takes the worst slot of its chunk: in the first chunk it keeps it, since no slack is less than NaN;
+        # in a later chunk it loses to the earlier chunks' least slack, as ckw's NaN and violation on states 5, 6 do
+        nan = float("nan")
+        plants = {"chain_upper": {2: nan}, "dual_assist": {9: nan}, "ckw": {5: nan, 6: 10.0}}
+        doc, _, offenders = self.fold(tmp_path, monkeypatch, capsys, 12, 4, plants)
+        assert doc["violations"] == 4
+        assert math.isnan(doc["min_slack"]["chain_upper"]["slack"]) and not doc["min_slack"]["chain_upper"]["satisfied"]
+        assert doc["min_slack"]["dual_assist"]["satisfied"] and doc["min_slack"]["ckw"]["satisfied"]
+        assert [(index, name) for index, (name, _) in offenders] == [
+            (2, "chain_upper"), (5, "ckw"), (6, "ckw"), (9, "dual_assist")]
+
+    def test_weight1_rows_fold_the_wclass_entries(self, tmp_path, monkeypatch, capsys):
+        # every third state, and the whole third chunk of 4, drawn weight-1: the W-class entries cover a part
+        # of a chunk's states and, in the third chunk, all of them
+        haar = qmonogamy.cli._haar_amplitudes
+
+        def draw(n, seeds):
+            amplitudes = haar(n, seeds)
+            for row, (_, index) in enumerate(seeds):
+                if index % 3 == 0 or 8 <= index < 12:
+                    c = [1, 1j] @ np.random.default_rng(index).standard_normal((2, n))
+                    amplitudes[row] = _weight1_amplitudes(c[None] / np.linalg.norm(c))[0]
+            return amplitudes
+
+        monkeypatch.setattr(qmonogamy.cli, "_haar_amplitudes", draw)
+        plants = {"wclass_upper": dict.fromkeys([0, 3, 9], 10.0), "wclass_lower": {6: 10.0},
+                  "ab_rest_upper": dict.fromkeys([3, 5], 10.0)}
+        doc, chunks, offenders = self.fold(tmp_path, monkeypatch, capsys, 14, 4, plants)
+        assert [len(entries["wclass_lower"][0]) for _, entries in chunks] == [2, 1, 4, 1]
+        assert doc["violations"] == 6 and not doc["min_slack"]["wclass_upper"]["satisfied"]
+        assert [(index, name) for index, (name, _) in offenders] == [
+            (0, "wclass_upper"), (3, "ab_rest_upper"), (5, "ab_rest_upper"), (6, "wclass_lower"), (9, "wclass_upper")]
+
+
 class TestReproducePaper:
     def test_all_checks_pass(self, capsys):
         assert main(["reproduce-paper"]) == 0
@@ -553,6 +662,83 @@ class TestParserReuse:
         monkeypatch.setattr(qmonogamy.cli, "cmd_check", lambda args: seen.append(args.state_file) or 7)
         assert main(["check", str(sat4_file)]) == 7
         assert seen == [str(sat4_file)]
+
+
+def stdlib_json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    """The CLI writes each JSON document exactly as ``json.dumps(doc, indent=2)`` lays it out."""
+
+    IDS = ["plain", 'a "quoted" back\\slash', "non-ASCII: \u00fc\u00df \u2713 \U0001d11e", "%s %d %% {} {0} {{x}}"]
+    ODD = [-0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 12])
+    def test_check_reports(self, n, tmp_path):
+        weights = np.arange(1.0, n + 1)
+        for state in (random_haar_state(n, n), wclass_state(weights / np.linalg.norm(weights))):
+            doc = evaluate_all(state).to_dict()
+            for state_id in self.IDS:
+                doc["state_id"] = state_id
+                assert qmonogamy.cli._json_report(doc) == stdlib_json(doc)
+        assert {"wclass_lower", "wclass_upper"} <= {e["inequality"] for e in doc["entries"]}
+        # the whole command, its state id being the file's path
+        path = tmp_path / "a \"q\" b\\s %s \u00fc {}.json"
+        write_state_file(state, path)
+        assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 0
+        text = (tmp_path / "report.json").read_text(encoding="ascii")
+        assert text == stdlib_json(json.loads(text))
+
+    def test_synthetic_values(self):
+        entries = tuple(BoundEntry(f"e{k}", x, -x, x, k % 2 == 0) for k, x in enumerate(self.ODD))
+        components = {f"p{k}": {"concurrence_sq": x, "assistance_sq": -x} for k, x in enumerate(self.ODD)}
+        for tolerance in self.ODD:
+            for report in (BoundReport("s", 7, tolerance, entries, components), BoundReport("", 3, tolerance, (), {})):
+                doc = report.to_dict()
+                assert qmonogamy.cli._json_report(doc) == stdlib_json(doc)
+            doc = {"config": {"qubits": 12, "count": 10**6, "seed": 2**63, "tolerance": tolerance},
+                   "min_slack": {e.inequality: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
+                                 for e in entries},
+                   "violations": 3}
+            assert qmonogamy.cli._json_fuzz(doc) == stdlib_json(doc)
+            checks = [{"case": name, "quantity": f"q[{k}]", "expected": x, "computed": -x, "tolerance": tolerance,
+                       "ok": k % 2 == 1, "note": name} for k, (name, x) in enumerate(zip(self.IDS * 2, self.ODD))]
+            for doc in ({"checks": checks, "failures": 3}, {"checks": [], "failures": 0}):
+                assert qmonogamy.cli._json_checks(doc) == stdlib_json(doc)
+
+    def test_fuzz_payloads(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for n in (3, 4, 6):
+            assert main(["fuzz", "--qubits", str(n), "--count", "70", "--seed", "1", "--out", "clean.json"]) == 0
+            text = (tmp_path / "clean.json").read_text(encoding="ascii")
+            assert text == stdlib_json(json.loads(text))
+        # a broken upper bound: satisfied false rows
+        upper = qmonogamy.monogamy._ab_rest_upper
+        monkeypatch.setattr(qmonogamy.monogamy, "_ab_rest_upper", lambda ca_sq: upper(ca_sq) - 50)
+        assert main(["fuzz", "--qubits", "4", "--count", "5", "--seed", "1", "--out", "broken.json"]) == 2
+        text = (tmp_path / "broken.json").read_text(encoding="ascii")
+        assert text == stdlib_json(json.loads(text))
+        assert not json.loads(text)["min_slack"]["ab_rest_upper"]["satisfied"]
+
+    def test_reproduce_paper_with_a_failed_check(self, tmp_path, monkeypatch, capsys):
+        cases = qmonogamy.cases.builtin_cases
+
+        def one_wrong():
+            rows = cases()
+            quantity, compute, expected, note = rows[1][3][2]
+            rows[1][3][2] = (quantity, compute, expected + 0.5, note)
+            return rows
+
+        out = tmp_path / "checks.json"
+        assert main(["reproduce-paper", "--out", str(out)]) == 0
+        text = out.read_text(encoding="ascii")
+        assert text == stdlib_json(json.loads(text))
+        monkeypatch.setattr(qmonogamy.cli, "builtin_cases", one_wrong)
+        assert main(["reproduce-paper", "--out", str(out)]) == 2
+        text = out.read_text(encoding="ascii")
+        assert text == stdlib_json(json.loads(text))
+        assert [row["quantity"] for row in json.loads(text)["checks"] if not row["ok"]] == ["concurrence[B|ACD]"]
 
 
 class TestFuzzRegression:
