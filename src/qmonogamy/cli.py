@@ -18,11 +18,11 @@ import numpy as np
 from .cases import CHECK_TOLERANCE, builtin_cases
 from .concurrence import pair_index
 from .monogamy import (DEFAULT_TOLERANCE, _MIN_QUBITS, _entries, _entry, _table, _tolerance, _wclass_chain,
-                       _weight1_amplitudes, evaluate_all)
+                       _weight1_amplitudes, _worst, evaluate_all)
 from .statefile import read_state_file, write_state_file
 from .states import PureState, StateError, _admit_amplitudes, _haar_amplitudes, _qubit_count
 
-CHUNK = 64  # states per table fill in ``fuzz`` and ``wclass-scan``; no output depends on it
+CHUNK = 64  # states per table fill in ``fuzz`` and ``wclass-scan``; no output depends on it, NaN slacks included
 
 
 def _fmt(x: float) -> str:
@@ -75,13 +75,12 @@ def _json_report(doc: dict) -> str:
             f'  "components": {_json_block(components, "{}")}\n}}\n')
 
 
-def _json_fuzz(doc: dict) -> str:
-    """The ``fuzz --out`` summary."""
-    config = doc["config"]
-    rows = [f'{_json_str(name)}: {{\n      {_json_bound(e)}\n    }}' for name, e in doc["min_slack"].items()]
-    return (f'{{\n  "config": {{\n    "qubits": {config["qubits"]},\n    "count": {config["count"]},\n'
-            f'    "seed": {config["seed"]},\n    "tolerance": {_json_num(config["tolerance"])}\n  }},\n'
-            f'  "min_slack": {_json_block(rows, "{}")},\n  "violations": {doc["violations"]}\n}}\n')
+def _json_fuzz(args, worst: dict, violations: int) -> str:
+    """The ``fuzz --out`` summary: the run's config, its least-slack ``BoundEntry`` per inequality and its violations."""
+    rows = [f'{_json_str(name)}: {{\n      {_json_bound(vars(e))}\n    }}' for name, e in worst.items()]
+    return (f'{{\n  "config": {{\n    "qubits": {args.qubits},\n    "count": {args.count},\n'
+            f'    "seed": {args.seed},\n    "tolerance": {_json_num(args.tolerance)}\n  }},\n'
+            f'  "min_slack": {_json_block(rows, "{}")},\n  "violations": {violations}\n}}\n')
 
 
 def _json_checks(doc: dict) -> str:
@@ -116,28 +115,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    worst: dict = {}
+    picks = {}  # the inequalities of a row set -> their (lhs, rhs) of least slack so far
     violations = 0
     offenders = {}  # the eight lowest indices -> (a copy of the amplitudes, first violated entry name, slack)
     start = 0
     for table in _tables(args.qubits, args.count,
                          lambda a, b: _haar_amplitudes(args.qubits, [[args.seed, i] for i in range(a, b)])):
-        entries = _entries(table)
-        # one (E, R) slack matrix per row set: the entries over every state of the chunk, then the W-class entries
-        # over its weight-1 states, which come last in ``_entries`` order
-        groups = {}
-        for name, (rows, _, _) in entries.items():
-            groups.setdefault(len(rows), []).append(name)
-        for names in groups.values():
-            rows = entries[names[0]][0]
-            lhs = np.array([entries[name][1] for name in names])
-            rhs = np.array([entries[name][2] for name in names])
+        for rows, names, lhs, rhs in _entries(table):
+            pick = _worst(lhs, rhs)
+            if names in picks:  # the earlier chunks' pick first, so that the run folds as one argmin over its states
+                pick = _worst(*(np.stack(side, axis=1) for side in zip(picks[names], pick)))
+            picks[names] = pick
             slack = rhs - lhs
-            # the first state on ties (and the first NaN), as the running minimum keeps the earlier one
-            pick = np.arange(len(names)), slack.argmin(axis=1)
-            for name, low, high in zip(names, lhs[pick].tolist(), rhs[pick].tolist()):
-                if name not in worst or high - low < worst[name].slack:
-                    worst[name] = _entry(name, low, high, args.tolerance)
             bad = ~(slack >= -args.tolerance)
             found = int(np.count_nonzero(bad))
             if found:
@@ -147,33 +136,22 @@ def cmd_fuzz(args) -> int:
                     offenders.setdefault(start + row, (table.amplitudes[row], names[e], value))
         offenders = {i: (amps.copy(), name, value) for i, (amps, name, value) in sorted(offenders.items())[:8]}
         start += len(table.amplitudes)
+    worst = {name: _entry(name, low, high, args.tolerance)
+             for names, (lows, highs) in picks.items() for name, low, high in zip(names, lows.tolist(), highs.tolist())}
 
     lines = [f"fuzz: n={args.qubits} count={args.count} seed={args.seed} tolerance={args.tolerance:g}"]
     lines.append(f"{'inequality':<28}{'min slack':>24}  satisfied")
     for name, e in worst.items():
         lines.append(f"{name:<28}{_fmt(e.slack):>24}  {str(e.satisfied).lower()}")
-    summary = "\n".join(lines) + "\n"
-
     if args.format == "csv":
         _emit(_entries_csv(worst.values()), args.out)
-        if args.out:
-            sys.stdout.write(summary)
-    else:
-        payload = {
-            "config": {"qubits": args.qubits, "count": args.count, "seed": args.seed,
-                       "tolerance": args.tolerance},
-            "min_slack": {
-                name: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
-                for name, e in worst.items()
-            },
-            "violations": violations,
-        }
-        if args.out:
-            _emit(_json_fuzz(payload), args.out)
-        sys.stdout.write(summary)
+    elif args.out:
+        _emit(_json_fuzz(args, worst, violations), args.out)
+    if args.out or args.format == "json":
+        sys.stdout.write("\n".join(lines) + "\n")
 
     if violations:
-        for index, (amplitudes, name, slack) in sorted(offenders.items())[:8]:
+        for index, (amplitudes, name, slack) in offenders.items():
             path = f"violation-{args.seed}-{index}.json"
             write_state_file(PureState(args.qubits, amplitudes), path)
             print(

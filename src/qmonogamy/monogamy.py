@@ -243,7 +243,8 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     """
     _tolerance(tolerance)
     table = _table(state.amplitudes[None])
-    entries = tuple(_entry(name, lhs[0], rhs[0], tolerance) for name, (_, lhs, rhs) in _entries(table).items())
+    entries = tuple(_entry(name, low, high, tolerance) for _, names, lhs, rhs in _entries(table)
+                    for name, low, high in zip(names, lhs[:, 0].tolist(), rhs[:, 0].tolist()))
     csq, casq = (sq[0].tolist() for sq in table.pair_sq)
     components = {
         f"{role_name(i)}-{role_name(j)}": {"concurrence_sq": csq[i][j], "assistance_sq": casq[i][j]}
@@ -259,17 +260,21 @@ def _entry(name: str, lhs, rhs, tolerance: float) -> BoundEntry:
 
 
 def _worst(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
-    """Per state, the (lhs, rhs) of the pair with the least slack, the first pair on ties."""
-    k, states = np.argmin(rhs - lhs, axis=-1), np.arange(len(lhs))
-    return lhs[states, k], rhs[states, k]
+    """Per row of two (rows, columns) matrices, the (lhs, rhs) of the column with the least slack ``rhs - lhs``.
+
+    Ties go to the first column, and the first NaN slack counts as least.  It is the one least-slack rule: over the
+    pairs of each state, over the states of a ``fuzz`` chunk, and over the chunks of a run, each earlier pick first.
+    """
+    k, rows = np.argmin(rhs - lhs, axis=-1), np.arange(len(lhs))
+    return lhs[rows, k], rhs[rows, k]
 
 
-def _entries(table: MarginalTable) -> dict:
-    """``{inequality: (states, lhs, rhs)}`` of every bound applicable at the table's size, in report order.
+def _entries(table: MarginalTable) -> list:
+    """``[(rows, names, lhs, rhs)]``: the row sets of the bounds applicable at the table's size, in report order.
 
-    ``states`` indexes the stack's states the bound applies to: all of them, or
-    for the W-class bounds the weight-1-supported ones.  ``lhs`` and ``rhs`` are
-    arrays over those states.
+    ``lhs`` and ``rhs`` are (E, R) matrices, one row per inequality of ``names`` and one column per state of
+    ``rows``, which indexes the stack.  The first row set holds every inequality over all the states; a second,
+    present only when the stack has weight-1-supported states, holds the W-class bounds over those.
     """
     n, everyone = table.n_qubits, np.arange(len(table.amplitudes))
     pairs, i, j = pair_index(n)
@@ -299,11 +304,10 @@ def _entries(table: MarginalTable) -> dict:
         sides["abc_rest_lower_hub"] = (hub, mid_abc)
         sides["abc_rest_lower_hub_clamped"] = (np.maximum(0.0, hub), mid_abc)
         sides["abc_rest_upper"] = (mid_abc, abc_upper)
-    entries = {name: (everyone, lhs, rhs) for name, (lhs, rhs) in sides.items()}
+    row_sets = [(everyone, sides)]
 
     weight1 = np.flatnonzero(_weight1(table.amplitudes))
     if len(weight1):
         lower, mid, upper = (side[weight1] for side in _wclass_chain(table))
-        entries["wclass_lower"] = (weight1, *_worst(lower, mid))
-        entries["wclass_upper"] = (weight1, *_worst(mid, upper))
-    return entries
+        row_sets.append((weight1, {"wclass_lower": _worst(lower, mid), "wclass_upper": _worst(mid, upper)}))
+    return [(rows, tuple(sides), *map(np.array, zip(*sides.values()))) for rows, sides in row_sets]

@@ -171,9 +171,10 @@ def mixed_stack(n, count):
 def stack_entries(table):
     """``[(inequality, lhs, rhs)]`` of each state of a table, from the stack path."""
     got = [[] for _ in table.amplitudes]
-    for name, (rows, lhs, rhs) in _entries(table).items():
-        for b, left, right in zip(rows.tolist(), lhs.tolist(), rhs.tolist()):
-            got[b].append((name, left, right))
+    for rows, names, lhs, rhs in _entries(table):
+        for name, lefts, rights in zip(names, lhs.tolist(), rhs.tolist()):
+            for b, left, right in zip(rows.tolist(), lefts, rights):
+                got[b].append((name, left, right))
     return got
 
 

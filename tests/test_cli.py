@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -290,40 +292,47 @@ class TestFuzz(OneFillPerChunk):
 
 
 def reference_fold(chunks, tolerance=1e-7):
-    """The fold ``fuzz`` made before its slack matrices, one inequality at a time, over ``(amplitudes, entries)``
-    per chunk: the least-slack entries, the violation count and the eight lowest offenders, (index, (name, slack))."""
-    worst, violations, offenders, start = {}, 0, {}, 0
+    """What ``fuzz`` must report from ``(amplitudes, entries)`` per chunk, read as one run of states in plain Python:
+    per inequality the entry of least slack over the run (the first NaN slack if there is one, else the first least),
+    the violation count and the eight lowest offending states with their first violated entry, (index, (name, slack))."""
+    sides, states = {}, []  # per inequality its (lhs, rhs) over the run; per state its (name, slack) in report order
     for amplitudes, entries in chunks:
-        for name, (rows, lhs, rhs) in entries.items():
-            slack = rhs - lhs
-            k = np.argmin(slack)
-            if name not in worst or slack[k] < worst[name].slack:
-                worst[name] = _entry(name, lhs[k], rhs[k], tolerance)
-            bad = ~(slack >= -tolerance)
-            violations += int(np.count_nonzero(bad))
-            for row, value in zip(rows[bad].tolist(), slack[bad].tolist()):
-                offenders.setdefault(start + row, (name, value))
-        start += len(amplitudes)
-    return worst, violations, sorted(offenders.items())[:8]
+        start = len(states)
+        states.extend([] for _ in amplitudes)
+        for rows, names, lhs, rhs in entries:
+            for name, lefts, rights in zip(names, lhs.tolist(), rhs.tolist()):
+                for row, left, right in zip(rows.tolist(), lefts, rights):
+                    sides.setdefault(name, []).append((left, right))
+                    states[start + row].append((name, right - left))
+    worst = {}
+    for name, pairs in sides.items():
+        slacks = [right - left for left, right in pairs]
+        nans = [k for k, slack in enumerate(slacks) if math.isnan(slack)]
+        worst[name] = _entry(name, *pairs[nans[0] if nans else slacks.index(min(slacks))], tolerance)
+    bad = [[(name, slack) for name, slack in entries if not slack >= -tolerance] for entries in states]
+    return worst, sum(map(len, bad)), [(index, found[0]) for index, found in enumerate(bad) if found][:8]
 
 
 class TestFuzzFold:
-    """``fuzz`` folds each chunk as one slack matrix per row set, and must report what the per-entry fold reports."""
+    """``fuzz`` folds each chunk as one slack matrix per row set, and must report what one pass over the run reports."""
 
     @staticmethod
     def fold(tmp_path, monkeypatch, capsys, count, chunk, plants, seed=5):
         """Run ``fuzz --qubits 4`` with ``plants[name][index]`` added to the lhs of entry ``name`` on state
         ``index``, check its report against the reference fold of the same chunks, and return the --out
-        document, the chunks' entries and the reference offenders."""
+        document, the chunks' entries, the reference offenders and the run's outputs: its exit code, stdout,
+        stderr, --out file and dumped files."""
         chunks, entries = [], qmonogamy.cli._entries
 
         def planted(table):
             start = sum(len(amplitudes) for amplitudes, _ in chunks)
             found = entries(table)
-            for name, marks in plants.items():
-                if name in found:
-                    rows, lhs, rhs = found[name]
-                    found[name] = (rows, lhs + [marks.get(start + row, 0.0) for row in rows.tolist()], rhs)
+            for k, (rows, names, lhs, rhs) in enumerate(found):
+                lhs = lhs.copy()
+                for e, name in enumerate(names):
+                    if name in plants:
+                        lhs[e] += [plants[name].get(start + row, 0.0) for row in rows.tolist()]
+                found[k] = (rows, names, lhs, rhs)
             chunks.append((table.amplitudes.copy(), found))
             return found
 
@@ -332,6 +341,7 @@ class TestFuzzFold:
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()
         code = main(["fuzz", "--qubits", "4", "--count", str(count), "--seed", str(seed), "--out", "fuzz.json"])
+        captured = capsys.readouterr()
         worst, violations, offenders = reference_fold(chunks)
         doc = json.loads((tmp_path / "fuzz.json").read_text())
         # compared as JSON text, in which a NaN slack equals a NaN slack
@@ -339,16 +349,18 @@ class TestFuzzFold:
             name: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
             for name, e in worst.items()})
         assert doc["violations"] == violations and code == (2 if violations else 0)
-        assert capsys.readouterr().err.splitlines() == [
+        assert captured.err.splitlines() == [
             f"violation: {name} slack {value:.3e} on state {index}; dumped violation-{seed}-{index}.json"
             for index, (name, value) in offenders]
-        assert sorted(p.name for p in tmp_path.glob("violation-*")) == sorted(
-            f"violation-{seed}-{index}.json" for index, _ in offenders)
+        dumped = sorted(tmp_path.glob("violation-*"))
+        assert [p.name for p in dumped] == sorted(f"violation-{seed}-{index}.json" for index, _ in offenders)
         stack = np.concatenate([amplitudes for amplitudes, _ in chunks])
         for index, _ in offenders:
             reloaded = read_state_file(tmp_path / f"violation-{seed}-{index}.json")
             np.testing.assert_array_equal(reloaded.amplitudes, stack[index])
-        return doc, chunks, offenders
+        outputs = (code, captured.out, captured.err, (tmp_path / "fuzz.json").read_bytes(),
+                   tuple((p.name, p.read_bytes()) for p in dumped))
+        return doc, chunks, offenders, outputs
 
     def test_violations_on_several_entries_across_chunks(self, tmp_path, monkeypatch, capsys):
         # nine states on four entries over five chunks of 5; states 7 and 12 violate two entries or three
@@ -356,23 +368,39 @@ class TestFuzzFold:
                   "lin_entropy_upper": dict.fromkeys([7, 8, 14, 22], 10.0),
                   "abc_rest_upper": dict.fromkeys([3, 12, 19], 10.0),
                   "ab_rest_lower": {12: 10.0}}
-        doc, _, offenders = self.fold(tmp_path, monkeypatch, capsys, 23, 5, plants)
+        doc, _, offenders, _ = self.fold(tmp_path, monkeypatch, capsys, 23, 5, plants)
         assert doc["violations"] == 12
         assert [(index, name) for index, (name, _) in offenders] == [
             (1, "ckw"), (3, "abc_rest_upper"), (7, "ckw"), (8, "lin_entropy_upper"), (12, "ab_rest_lower"),
             (14, "lin_entropy_upper"), (19, "abc_rest_upper"), (20, "ckw")]
 
     def test_nan_slacks_are_violations(self, tmp_path, monkeypatch, capsys):
-        # a NaN takes the worst slot of its chunk: in the first chunk it keeps it, since no slack is less than NaN;
-        # in a later chunk it loses to the earlier chunks' least slack, as ckw's NaN and violation on states 5, 6 do
+        # a NaN slack is the least of its run, in the first chunk or a later one: ckw's NaN on state 5 outranks
+        # its violation on state 6 and the first chunk's least slack
         nan = float("nan")
         plants = {"chain_upper": {2: nan}, "dual_assist": {9: nan}, "ckw": {5: nan, 6: 10.0}}
-        doc, _, offenders = self.fold(tmp_path, monkeypatch, capsys, 12, 4, plants)
+        doc, _, offenders, _ = self.fold(tmp_path, monkeypatch, capsys, 12, 4, plants)
         assert doc["violations"] == 4
-        assert math.isnan(doc["min_slack"]["chain_upper"]["slack"]) and not doc["min_slack"]["chain_upper"]["satisfied"]
-        assert doc["min_slack"]["dual_assist"]["satisfied"] and doc["min_slack"]["ckw"]["satisfied"]
+        for name in ("chain_upper", "dual_assist", "ckw"):
+            assert math.isnan(doc["min_slack"][name]["slack"]) and not doc["min_slack"][name]["satisfied"], name
         assert [(index, name) for index, (name, _) in offenders] == [
             (2, "chain_upper"), (5, "ckw"), (6, "ckw"), (9, "dual_assist")]
+
+    def test_output_does_not_depend_on_the_chunk(self, tmp_path, monkeypatch, capsys):
+        # ckw: a NaN on state 9 and a violation on state 10, in one later chunk or in two, or past the first chunk
+        # only; ab_rest_upper: a violation on state 1, in the first chunk
+        nan = float("nan")
+        plants = {"ab_rest_upper": {1: 10.0}, "ckw": {9: nan, 10: 10.0}}
+        outputs = set()
+        for chunk in (1, 4, 5, 64):
+            (tmp_path / str(chunk)).mkdir()
+            doc, _, offenders, run = self.fold(tmp_path / str(chunk), monkeypatch, capsys, 12, chunk, plants)
+            outputs.add(run)
+        assert len(outputs) == 1
+        code, out, _, _, dumped = run
+        assert code == 2 and doc["violations"] == 3 and len(dumped) == 3
+        assert re.search(r"^ckw +nan  false$", out, re.M) and re.search(r"^ab_rest_upper +-[\d.e+-]+  false$", out, re.M)
+        assert [(index, name) for index, (name, _) in offenders] == [(1, "ab_rest_upper"), (9, "ckw"), (10, "ckw")]
 
     def test_weight1_rows_fold_the_wclass_entries(self, tmp_path, monkeypatch, capsys):
         # every third state, and the whole third chunk of 4, drawn weight-1: the W-class entries cover a part
@@ -390,8 +418,9 @@ class TestFuzzFold:
         monkeypatch.setattr(qmonogamy.cli, "_haar_amplitudes", draw)
         plants = {"wclass_upper": dict.fromkeys([0, 3, 9], 10.0), "wclass_lower": {6: 10.0},
                   "ab_rest_upper": dict.fromkeys([3, 5], 10.0)}
-        doc, chunks, offenders = self.fold(tmp_path, monkeypatch, capsys, 14, 4, plants)
-        assert [len(entries["wclass_lower"][0]) for _, entries in chunks] == [2, 1, 4, 1]
+        doc, chunks, offenders, _ = self.fold(tmp_path, monkeypatch, capsys, 14, 4, plants)
+        assert [len(entries[1][0]) for _, entries in chunks] == [2, 1, 4, 1]
+        assert {entries[1][1] for _, entries in chunks} == {("wclass_lower", "wclass_upper")}
         assert doc["violations"] == 6 and not doc["min_slack"]["wclass_upper"]["satisfied"]
         assert [(index, name) for index, (name, _) in offenders] == [
             (0, "wclass_upper"), (3, "ab_rest_upper"), (5, "ab_rest_upper"), (6, "wclass_lower"), (9, "wclass_upper")]
@@ -697,11 +726,13 @@ class TestJsonWriter:
             for report in (BoundReport("s", 7, tolerance, entries, components), BoundReport("", 3, tolerance, (), {})):
                 doc = report.to_dict()
                 assert qmonogamy.cli._json_report(doc) == stdlib_json(doc)
-            doc = {"config": {"qubits": 12, "count": 10**6, "seed": 2**63, "tolerance": tolerance},
-                   "min_slack": {e.inequality: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
-                                 for e in entries},
-                   "violations": 3}
-            assert qmonogamy.cli._json_fuzz(doc) == stdlib_json(doc)
+            args = argparse.Namespace(qubits=12, count=10**6, seed=2**63, tolerance=tolerance)
+            for worst in ({e.inequality: e for e in entries}, {}):
+                doc = {"config": vars(args),
+                       "min_slack": {name: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
+                                     for name, e in worst.items()},
+                       "violations": 3}
+                assert qmonogamy.cli._json_fuzz(args, worst, 3) == stdlib_json(doc)
             checks = [{"case": name, "quantity": f"q[{k}]", "expected": x, "computed": -x, "tolerance": tolerance,
                        "ok": k % 2 == 1, "note": name} for k, (name, x) in enumerate(zip(self.IDS * 2, self.ODD))]
             for doc in ({"checks": checks, "failures": 3}, {"checks": [], "failures": 0}):

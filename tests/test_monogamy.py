@@ -529,10 +529,12 @@ class TestMarginalTable:
                 np.testing.assert_array_equal(full[b], alone[0])
             np.testing.assert_array_equal(entropies[b], one.linear_entropies(subsets)[0])
             alone = _entries(one)
-            assert [name for name, (rows, _, _) in entries.items() if b in rows] == list(alone)
-            for name, (rows, lhs, rhs) in alone.items():
-                k = list(entries[name][0]).index(b)
-                assert (entries[name][1][k], entries[name][2][k]) == (lhs[0], rhs[0]), name
+            assert [names for rows, names, _, _ in entries if b in rows] == [names for _, names, _, _ in alone]
+            full = {names: (list(rows).index(b), lhs, rhs) for rows, names, lhs, rhs in entries if b in rows}
+            for _, names, lhs, rhs in alone:
+                k, full_lhs, full_rhs = full[names]
+                for e, name in enumerate(names):
+                    assert (full_lhs[e, k], full_rhs[e, k]) == (lhs[e, 0], rhs[e, 0]), name
 
     @given(seed=st.integers(0, 10**9), n=st.integers(3, 6), weight1=st.booleans())
     @settings(max_examples=40, deadline=None)
