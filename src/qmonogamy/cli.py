@@ -17,8 +17,8 @@ import numpy as np
 
 from .cases import CHECK_TOLERANCE, builtin_cases
 from .concurrence import pair_index
-from .monogamy import (DEFAULT_TOLERANCE, _MIN_QUBITS, _entries, _entry, _table, _tolerance, _wclass_chain,
-                       _weight1_amplitudes, _worst, evaluate_all)
+from .monogamy import (DEFAULT_TOLERANCE, _MIN_QUBITS, _entries, _entry, _satisfied, _table, _tolerance,
+                       _wclass_chain, _weight1_amplitudes, _worst, evaluate_all)
 from .statefile import read_state_file, write_state_file
 from .states import PureState, StateError, _admit_amplitudes, _haar_amplitudes, _qubit_count
 
@@ -127,7 +127,7 @@ def cmd_fuzz(args) -> int:
                 pick = _worst(*(np.stack(side, axis=1) for side in zip(picks[names], pick)))
             picks[names] = pick
             slack = rhs - lhs
-            bad = ~(slack >= -args.tolerance)
+            bad = ~_satisfied(slack, args.tolerance)
             found = int(np.count_nonzero(bad))
             if found:
                 violations += found
@@ -191,8 +191,7 @@ def cmd_wclass_scan(args) -> int:
     tables = map(_wclass_chain, _tables(n, args.count, lambda a, b: _weight1_amplitudes(samples[a:b])))
     lower, mid, upper = map(np.concatenate, zip(*tables))
     gaps_lower, gaps_upper = mid - lower, upper - mid
-    # judged as fuzz judges slack, so that a NaN gap is a violation
-    bad = np.count_nonzero(~((gaps_lower >= -args.tolerance) & (gaps_upper >= -args.tolerance)))
+    bad = np.count_nonzero(~(_satisfied(gaps_lower, args.tolerance) & _satisfied(gaps_upper, args.tolerance)))
     rows = ["coefficients,pair,lower,mid,upper,gap_lower,gap_upper"]
     labels = [f"{i + 1}-{j + 1}" for i, j in pair_index(n)[0]]
     for coeffs, *chain in zip(samples, *(side.tolist() for side in (lower, mid, upper, gaps_lower, gaps_upper))):

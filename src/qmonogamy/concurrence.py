@@ -8,14 +8,13 @@ are both functions of the same spectrum: the descending square roots
 factor F with rho = F F^H are the singular values of ``F^T YY F``.
 ``MarginalTable`` holds these values, and the purities the bounds read, for a
 stack of pure states: it gathers the amplitude blocks M of same-size marginals
-through one index (cached for the singles and the pairs) and forms their rho = M M^H
-by one batched matmul a gather.
+through one index, cached per qubit count and group of subsets, and forms their
+rho = M M^H by one batched matmul a gather.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -91,21 +90,15 @@ def pair_index(n: int) -> tuple:
 _GATHER_ELEMENTS = 2**14
 
 
+@cache
 def _block_index(n: int, keeps: tuple) -> np.ndarray:
     """Where each subset's block M[r, c] lies among the 2^n amplitudes, (K, 2^k, 2^(n-k)), r over its qubits and c
-    over the others in ascending order, in the smallest dtype that holds every index below 2^MAX_QUBITS."""
+    over the others in ascending order, in the smallest dtype that holds every index below 2^MAX_QUBITS; read-only."""
     positions = np.arange(2**n, dtype=np.min_scalar_type(2**MAX_QUBITS - 1)).reshape((2,) * n)
     orders = [list(keep) + [q for q in range(n) if q not in keep] for keep in keeps]
-    return np.stack([positions.transpose(order).reshape(2 ** len(keeps[0]), -1) for order in orders])
-
-
-@cache
-def _family_index(n: int, k: int) -> tuple:
-    """Every k-qubit subset of ``n`` qubits in ``combinations`` (at k = 2, ``pair_index``) order, and their index."""
-    keeps = tuple(combinations(range(n), k))
-    index = _block_index(n, keeps)
+    index = np.stack([positions.transpose(order).reshape(2 ** len(keeps[0]), -1) for order in orders])
     index.flags.writeable = False
-    return keeps, index
+    return index
 
 
 class MarginalTable:
@@ -115,10 +108,11 @@ class MarginalTable:
     the PSD floor is checked wherever eigenvalues are computed.  Same-size marginals are traced together, as many
     a gather as fit in ``_GATHER_ELEMENTS`` amplitudes but at least one (so a stack of 64 at n = 12 gathers one 4 MB
     marginal at a time): one ``np.take`` gathers their amplitude blocks M and one batched matmul forms rho = M M^H.
-    The index of the singles and of the pairs is cached per qubit count; any other family's, such as the ABC1|rest
-    cut's, is built on each fill.  ``pair_sq`` fills every pair with one ``svd`` over the stack.  Up to 4 qubits
-    it factors rho = M M^H by each pair's block M, zero padded to 4 columns, and runs no ``eigh`` (so no floor check:
-    M M^H is PSD by construction); from 5 it takes the ``eigh`` root of rho.  LAPACK factors each matrix on its own.
+    Each group's index is cached per qubit count (``_block_index``): at n = 12 the bounds' three groups (pairs,
+    singles, ABC1|rest cut) hold 0.65 MB and any other cut adds 8 KB.  ``pair_sq`` fills every pair with one ``svd``
+    over the stack.  Up to 4 qubits it factors rho = M M^H by each pair's block M, zero padded to 4 columns, and runs
+    no ``eigh`` (so no floor check: M M^H is PSD by construction); from 5 it takes the ``eigh`` root of rho.  LAPACK
+    factors each matrix on its own.
     """
 
     def __init__(self, amplitudes: np.ndarray):
@@ -148,8 +142,7 @@ class MarginalTable:
         """Reduced matrices rho = M M^H of the same-size subsets ``keeps`` over the stack, (B, K, 2^k, 2^k), and
         with ``blocks`` the amplitude blocks M too, (B, K, 2^k, 2^(n-k)); stores their purities."""
         n, size = self.n_qubits, len(self.amplitudes)
-        family, index = _family_index(n, len(keeps[0])) if len(keeps[0]) <= 2 else ((), None)
-        index = index if keeps == family else _block_index(n, keeps)
+        index = _block_index(n, keeps)
         group = max(1, _GATHER_ELEMENTS // (size << n))
         rho, gathered = [], []
         for start in range(0, len(keeps), group):

@@ -46,7 +46,7 @@ from .states import DensityMatrix, PureState, _labels, _qubit_count
 
 def __getattr__(name: str):
     # Only perfbench/spans.py reads ``minimize``, to time a polish stage that no longer
-    # exists.  Importing scipy on that read keeps it out of ``import qmonogamy``.
+    # exists.  The read needs scipy, which only the test extra installs.
     if name != "minimize":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.optimize import minimize

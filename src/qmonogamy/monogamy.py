@@ -253,10 +253,15 @@ def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_i
     return BoundReport(state_id, table.n_qubits, tolerance, entries, components)
 
 
+def _satisfied(slack, tolerance: float):
+    """The one verdict rule, on a slack or an array of them: slack >= -tolerance, so a NaN is never satisfied."""
+    return slack >= -tolerance
+
+
 def _entry(name: str, lhs, rhs, tolerance: float) -> BoundEntry:
     lhs, rhs = float(lhs), float(rhs)
     slack = rhs - lhs
-    return BoundEntry(name, lhs, rhs, slack, slack >= -tolerance)
+    return BoundEntry(name, lhs, rhs, slack, _satisfied(slack, tolerance))
 
 
 def _worst(lhs: np.ndarray, rhs: np.ndarray) -> tuple:

@@ -198,7 +198,8 @@ def state_from_basis_terms(n: int, terms: Sequence) -> PureState:
             raise ValueError(f"basis label {label!r} is not a length-{n} bit string")
         amps[int(label, 2)] += complex(coeff)
     scaled, norm, true_norm = _scaled_norms(amps[None])
-    if true_norm < 1e-15:
+    largest = np.abs(np.array([complex(coeff) for _, coeff in terms]).view(float)).max()  # the largest part given
+    if true_norm <= 1e-15 * largest < np.inf:  # zero or a cancellation residue; NaN and inf go on to PureState
         raise ValueError("coefficients sum to the zero vector")
     with np.errstate(invalid="ignore"):  # inf / inf gives NaN, which PureState rejects with code finite
         return PureState(n, (scaled / norm)[0])  # at the parts' scale: a norm beyond the float range divides too

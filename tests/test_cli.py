@@ -513,10 +513,32 @@ class TestWclassScan(OneFillPerChunk):
     def test_bad_config_exits_one(self):
         assert main(["wclass-scan", "--n", "2", "--count", "1", "--seed", "0"]) == 1
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_output_does_not_depend_on_the_chunk(self, n, tmp_path, monkeypatch, capsys):
+        # stdout, the --out CSV, stderr and the exit code of a run of 2 * 64 + 1 states
+        runs = set()
+        for chunk in (1, 4, 5, 64):
+            monkeypatch.setattr(qmonogamy.cli, "CHUNK", chunk)
+            out = tmp_path / f"{chunk}.csv"
+            code = main(["wclass-scan", "--n", str(n), "--count", "129", "--seed", "8", "--out", str(out)])
+            captured = capsys.readouterr()
+            runs.add((code, captured.out, captured.err, out.read_bytes()))
+        assert len(runs) == 1 and runs.pop()[0] == 0
+
+    def test_nan_output_does_not_depend_on_the_chunk(self, tmp_path, monkeypatch, capsys):
+        # a NaN lower side planted on states 2-5, inside one chunk or across the boundaries at 4 or 5
+        runs = set()
+        for chunk in (1, 4, 5, 64):
+            (tmp_path / str(chunk)).mkdir()
+            runs.add(self.scan_with_a_broken_side(tmp_path / str(chunk), monkeypatch, capsys, 0, np.nan, chunk))
+            monkeypatch.undo()  # the next clean run reads the real chain
+        assert len(runs) == 1
+
     @staticmethod
-    def scan_with_a_broken_side(tmp_path, monkeypatch, capsys, side, value):
+    def scan_with_a_broken_side(tmp_path, monkeypatch, capsys, side, value, chunk=4):
         """A scan whose chain reads ``value`` on one side (0 lower, 2 upper) for four of ten states,
-        two on each side of the chunk boundary at 4: it exits 2, counts the rows and keeps every row."""
+        two on each side of the chunk boundary at 4: it exits 2, counts the rows and keeps every row.
+        Returns its stdout, its stderr and its CSV."""
         seed, count, failing = 6, 10, [2, 3, 4, 5]
         argv = ["wclass-scan", "--n", "3", "--count", str(count), "--seed", str(seed)]
         assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
@@ -532,11 +554,12 @@ class TestWclassScan(OneFillPerChunk):
             sides[side] = np.where(hit[:, None], value, sides[side])
             return tuple(sides)
 
-        monkeypatch.setattr(qmonogamy.cli, "CHUNK", 4)
+        monkeypatch.setattr(qmonogamy.cli, "CHUNK", chunk)
         monkeypatch.setattr(qmonogamy.cli, "_wclass_chain", broken_chain)
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "scan.csv")]) == 2
-        assert capsys.readouterr().err == f"{3 * len(failing)} rows violate the two-sided bound\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"{3 * len(failing)} rows violate the two-sided bound\n"
         clean = (tmp_path / "clean.csv").read_text().splitlines()
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert len(lines) == len(clean) == 1 + 3 * count
@@ -549,6 +572,7 @@ class TestWclassScan(OneFillPerChunk):
                     [f for k, f in enumerate(clean_fields) if k not in moved]
             else:
                 assert line == clean_line
+        return captured.out, captured.err, (tmp_path / "scan.csv").read_bytes()
 
     def test_violations_exit_two_and_keep_every_row(self, tmp_path, monkeypatch, capsys):
         self.scan_with_a_broken_side(tmp_path, monkeypatch, capsys, 2, -1.0)

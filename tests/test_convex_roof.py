@@ -567,3 +567,59 @@ assert convex_roof.minimize.__module__.startswith('scipy.optimize')
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Every console command and the oracle, in a fresh process run from the working directory: it prints each command's
+# exit code, stdout and stderr, each oracle value, and what reading convex_roof.minimize gives.
+EVERY_COMMAND = """
+import contextlib, io, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy or of a submodule raises ImportError
+import numpy as np
+import qmonogamy as qm
+from qmonogamy import convex_roof
+from qmonogamy.cli import main
+
+qm.write_state_file(qm.wclass_state(np.arange(1, 5) / np.sqrt(30)), "w4.json")
+qm.write_state_file(qm.random_haar_state(6, 1), "h6.json")
+for argv in (["reproduce-paper", "--out", "paper.json"], ["check", "w4.json", "--out", "w4-report.json"],
+             ["check", "h6.json", "--format", "csv"], ["fuzz", "--qubits", "4", "--count", "70", "--seed", "1"],
+             ["fuzz", "--qubits", "5", "--count", "70", "--seed", "1", "--format", "csv", "--out", "fuzz.csv"],
+             ["wclass-scan", "--n", "4", "--count", "10", "--seed", "3", "--out", "scan.csv"]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(argv, code, repr(out.getvalue()), repr(err.getvalue()))
+rng = np.random.default_rng(7)
+x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+rho = qm.DensityMatrix((0, 1), x @ x.conj().T / np.vdot(x, x).real)
+for mode in ("minimize", "maximize"):
+    value, ensemble = qm.convex_roof_optimize(rho, mode, seed=1)
+    print(mode, repr(value), ensemble.sweeps, ensemble.converged, [p for p, _ in ensemble.members])
+try:
+    convex_roof.minimize
+except ImportError:
+    print("minimize: ImportError")
+else:
+    print("minimize: read")
+"""
+
+
+def test_commands_and_oracle_need_no_scipy(tmp_path):
+    # the package depends on numpy alone: with scipy unimportable every command and the oracle give the same
+    # bytes and values as with it, and only the tracer's read of convex_roof.minimize fails
+    src = os.path.dirname(os.path.dirname(qmonogamy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = {}
+    for mode in ("blocked", "installed"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run([sys.executable, "-c", EVERY_COMMAND, mode], cwd=tmp_path / mode, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        files = {path.name: path.read_bytes() for path in sorted((tmp_path / mode).iterdir())}
+        runs[mode] = proc.stdout.splitlines(), files
+    (blocked, blocked_files), (installed, installed_files) = runs["blocked"], runs["installed"]
+    assert blocked[-1] == "minimize: ImportError" and installed[-1] == "minimize: read"
+    assert blocked[:-1] == installed[:-1] and blocked_files == installed_files
+    assert [line.split("] ")[1].split()[0] for line in blocked[:6]] == ["0"] * 6
+    assert sorted(blocked_files) == ["fuzz.csv", "h6.json", "paper.json", "scan.csv", "w4-report.json", "w4.json"]

@@ -501,11 +501,20 @@ class TestMarginalTable:
         table = MarginalTable(stacked(states))
         table.pair_sq
         table.linear_entropies([(q,) for q in range(n)])
+        # the ABC1 cut as the bounds trace it, and another 3-qubit cut as ``pure_concurrence_sq`` traces it from
+        # 6 qubits: each a group of its own, with its own cached index
+        cuts = [(0, 1, 2), (1, 3, 4)]
+        for cut in cuts:
+            table.linear_entropies([cut])
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert sorted(traced) == sorted(pairs + [(q,) for q in range(n)])
+        assert sorted(traced) == sorted(pairs + [(q,) for q in range(n)] + cuts)
         for keep, rho in traced.items():
             for b, state in enumerate(states):
                 np.testing.assert_array_equal(rho[b], partial_trace(state, keep).matrix)
+
+    def test_gather_index_is_cached_and_read_only(self):
+        index = _block_index(6, ((0, 1, 2),))
+        assert _block_index(6, ((0, 1, 2),)) is index and not index.flags.writeable
 
     def test_gather_index_dtype_follows_the_qubit_limit(self, monkeypatch):
         # the smallest dtype holding every index below 2^MAX_QUBITS: uint16 at 12 qubits, and no wrap at 16

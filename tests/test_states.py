@@ -164,6 +164,21 @@ class TestStateFromBasisTerms:
         with pytest.raises(ValueError, match="zero"):
             state_from_basis_terms(2, [("00", 1), ("00", -1)])
 
+    def test_cancellation_residue_rejected(self):
+        # 0.1 + 0.2 - 0.3 leaves 5.6e-17, within 1e-15 of the largest coefficient
+        with pytest.raises(ValueError, match="zero"):
+            state_from_basis_terms(3, [("000", 0.1), ("000", 0.2), ("000", -0.3)])
+
+    @pytest.mark.parametrize("scale", [1e-16, 1e-20, 1e-300])
+    def test_tiny_coefficients_normalized(self, scale):
+        # zero is judged relative to the coefficients given, so tiny ones normalize as huge ones do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = state_from_basis_terms(3, [("000", scale), ("011", scale)])
+        expected = np.zeros(8)
+        expected[0] = expected[3] = INV_SQRT2
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
             state_from_basis_terms(2, [])
