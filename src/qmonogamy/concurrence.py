@@ -8,8 +8,8 @@ are both functions of the same spectrum: the descending square roots
 factor F with rho = F F^H are the singular values of ``F^T YY F``.
 ``MarginalTable`` holds these values, and the purities the bounds read, for a
 stack of pure states: it gathers the amplitude blocks M of same-size marginals
-through one index, cached per qubit count and group of subsets, and forms their
-rho = M M^H by one batched matmul a gather.
+through one index, cached per qubit count and group of subsets, forms their
+rho = M M^H by one batched matmul a gather, and admits each size's stack once.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ def _support_root(rho: np.ndarray):
 
 def _factor_spectra(factor: np.ndarray) -> np.ndarray:
     """Descending lambda spectra of rho = F F^H from a stack ``(..., 4, 4)`` of factors F."""
-    return np.linalg.svd(factor.swapaxes(-1, -2) @ SPIN_FLIP_YY @ factor, compute_uv=False)
+    transposed = factor.swapaxes(-1, -2)
+    # F^T YY as one 2-D product over the whole stack, cheaper than a batched one; each row of F^T meets YY on its
+    # own, so no factor's bits depend on its stack
+    flipped = (transposed.reshape(-1, 4) @ SPIN_FLIP_YY).reshape(transposed.shape)
+    return np.linalg.svd(flipped @ factor, compute_uv=False)
 
 
 def lambda_spectra(rho: np.ndarray):
@@ -55,6 +59,13 @@ def lambda_spectrum(dm: DensityMatrix) -> np.ndarray:
     """Descending lambda_i, padded with zeros to length 4."""
     _qubit_count(dm.n_qubits, "the lambda spectrum's qubit count", 2, 2)
     return lambda_spectra(dm.matrix)[1]
+
+
+def _least_eigenvalues(rho: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of each Hermitian [[a, b], [b*, d]] of a stack ``(..., 2, 2)``, in closed form:
+    (a + d)/2 - hypot((a - d)/2, |b|)."""
+    a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(rho[..., 0, 1]))
 
 
 def _wootters(l: np.ndarray) -> np.ndarray:
@@ -101,18 +112,24 @@ def _block_index(n: int, keeps: tuple) -> np.ndarray:
     return index
 
 
+def _joined(parts: list) -> np.ndarray:
+    """Gathered stacks joined along their subset axis; a single one as it is, with no copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 class MarginalTable:
     """The marginals of a stack of B pure states and the squared concurrences they give.
 
-    Each marginal is traced on first use, once for the stack, and admitted by the trace rule and its Hermitian part;
-    the PSD floor is checked wherever eigenvalues are computed.  Same-size marginals are traced together, as many
+    Each marginal is traced on first use, once for the stack; each size's traced stack is admitted once, by the trace
+    rule and its Hermitian part.  The PSD floor is checked wherever eigenvalues are computed, for single qubits from
+    the closed-form least eigenvalue of each 2x2 marginal.  Same-size marginals are traced together, as many
     a gather as fit in ``_GATHER_ELEMENTS`` amplitudes but at least one (so a stack of 64 at n = 12 gathers one 4 MB
     marginal at a time): one ``np.take`` gathers their amplitude blocks M and one batched matmul forms rho = M M^H.
     Each group's index is cached per qubit count (``_block_index``): at n = 12 the bounds' three groups (pairs,
     singles, ABC1|rest cut) hold 0.65 MB and any other cut adds 8 KB.  ``pair_sq`` fills every pair with one ``svd``
-    over the stack.  Up to 4 qubits it factors rho = M M^H by each pair's block M, zero padded to 4 columns, and runs
-    no ``eigh`` (so no floor check: M M^H is PSD by construction); from 5 it takes the ``eigh`` root of rho.  LAPACK
-    factors each matrix on its own.
+    over the stack.  Up to 4 qubits it factors rho = M M^H by each pair's block M (zero padded to 4 columns at n = 3)
+    and runs no ``eigh`` (so no floor check: M M^H is PSD by construction); from 5 it takes the ``eigh`` root of rho.
+    LAPACK factors each matrix on its own.
     """
 
     def __init__(self, amplitudes: np.ndarray):
@@ -127,9 +144,11 @@ class MarginalTable:
         pairs, i, j = pair_index(n)
         if n <= 4:  # M has at most 4 columns; from 5 qubits the eigh route is faster (measured)
             _, m = self._marginals(pairs, blocks=True)
-            factor = np.zeros(m.shape[:-1] + (4,), dtype=complex)  # zero padded to 4 columns
-            factor[..., : m.shape[-1]] = m
-            l = _factor_spectra(factor)
+            if m.shape[-1] < 4:  # n = 3: zero padded to 4 columns
+                padded = np.zeros(m.shape[:-1] + (4,), dtype=complex)
+                padded[..., : m.shape[-1]] = m
+                m = padded
+            l = _factor_spectra(m)
         else:
             w, l = lambda_spectra(self._marginals(pairs))
             _check_floor(w)
@@ -147,21 +166,24 @@ class MarginalTable:
         rho, gathered = [], []
         for start in range(0, len(keeps), group):
             m = np.take(self.amplitudes, index[start : start + group], axis=1)
-            rho.append(_admit(m @ m.conj().swapaxes(-1, -2)))
+            rho.append(m @ m.conj().swapaxes(-1, -2))
             if blocks:
                 gathered.append(m)
-        rho = np.concatenate(rho, axis=1)
+        # one admission of the whole stack: the trace rule judges each matrix and the Hermitian part is taken entry
+        # by entry, so no bit depends on how the subsets were gathered
+        rho = _admit(_joined(rho))
         flat = rho.reshape(size, len(keeps), 1, -1)
         # a row-times-column matmul gives np.vdot's purity bit for bit; einsum does not
         self._purities.update(zip(keeps, (flat.conj() @ flat.swapaxes(-1, -2))[..., 0, 0].real.T))
-        return (rho, np.concatenate(gathered, axis=1)) if blocks else rho
+        return (rho, _joined(gathered)) if blocks else rho
 
     def linear_entropies(self, subsets) -> np.ndarray:
         """1 - Tr rho^2 of each subset's marginal, as ``states.linear_entropy`` gives it: (B, len(subsets))."""
         keys = [tuple(sorted(qubits)) for qubits in subsets]
         missing = [key for key in dict.fromkeys(keys) if key not in self._purities]
         for k in dict.fromkeys(map(len, missing)):  # one trace of each size's subsets
-            _check_floor(np.linalg.eigvalsh(self._marginals(tuple(key for key in missing if len(key) == k))))
+            rho = self._marginals(tuple(key for key in missing if len(key) == k))
+            _check_floor(_least_eigenvalues(rho) if k == 1 else np.linalg.eigvalsh(rho))
         return np.maximum(0.0, 1.0 - np.array([self._purities[key] for key in keys]).T)
 
     def cut_sq(self, *lefts) -> np.ndarray:

@@ -193,10 +193,11 @@ def state_from_basis_terms(n: int, terms: Sequence) -> PureState:
     if not terms:
         raise ValueError("at least one basis term is required")
     amps = np.zeros(2**n, dtype=complex)
-    for label, coeff in terms:
-        if len(label) != n or any(ch not in "01" for ch in label):
-            raise ValueError(f"basis label {label!r} is not a length-{n} bit string")
-        amps[int(label, 2)] += complex(coeff)
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which PureState rejects with code finite
+        for label, coeff in terms:
+            if len(label) != n or any(ch not in "01" for ch in label):
+                raise ValueError(f"basis label {label!r} is not a length-{n} bit string")
+            amps[int(label, 2)] += complex(coeff)
     scaled, norm, true_norm = _scaled_norms(amps[None])
     largest = np.abs(np.array([complex(coeff) for _, coeff in terms]).view(float)).max()  # the largest part given
     if true_norm <= 1e-15 * largest < np.inf:  # zero or a cancellation residue; NaN and inf go on to PureState
@@ -252,10 +253,18 @@ def random_haar_state(n: int, seed) -> PureState:
     return PureState(n, _haar_amplitudes(n, [seed])[0])
 
 
+def _seed_words(seed):
+    """A list of ints each in [0, 2^32) as the same words in a uint32 array, which ``SeedSequence`` takes without
+    coercing them, for the same stream; any other seed as given (a uint32 array would wrap a word of 2^32 or more)."""
+    if type(seed) is list and all(type(word) is int and 0 <= word < 2**32 for word in seed):
+        return np.array(seed, dtype=np.uint32)
+    return seed
+
+
 def _haar_amplitudes(n: int, seeds) -> np.ndarray:
     """A (B, 2^n) stack whose row i is the normalized draw of ``random_haar_state`` from ``default_rng(seeds[i])``."""
     parts = np.empty((len(seeds), 2, 2**n))  # real parts, then imaginary parts, in the generator's order
     for row, seed in zip(parts, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+        np.random.default_rng(_seed_words(seed)).standard_normal(out=row)
     scaled, norm, _ = _scaled_norms(parts[:, 0] + 1j * parts[:, 1])
     return scaled / norm

@@ -165,6 +165,11 @@ class OneFillPerChunk:
         assert table_work.marginals == [Counter(dict.fromkeys(pairs + self.cuts(n), 1))] * 3
         assert table_work.gathers == self.GATHERS[n]
 
+    def test_chunk_holds_at_most_2_15_amplitudes(self, table_work):
+        # unpatched, a fill at n = 12 takes 8 states of the cap's 64
+        assert main(self.argv(12) + ["--count", "20", "--seed", "2"]) == 0
+        assert table_work.fills == [8, 8, 4]
+
 
 class TestFuzz(OneFillPerChunk):
     # pairs, singles and ABC1 each in one gather, but at n = 10 a gather of 7 states holds

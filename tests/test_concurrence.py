@@ -19,7 +19,7 @@ from qmonogamy import (
     three_tangle,
     wootters_concurrence,
 )
-from qmonogamy.concurrence import RANK_CUTOFF, lambda_spectra
+from qmonogamy.concurrence import RANK_CUTOFF, _least_eigenvalues, lambda_spectra
 
 from helpers import random_two_qubit_mixed, random_unitary
 
@@ -201,6 +201,26 @@ class TestLambdaSpectra:
             alone_w, alone_l = lambda_spectra(dm.matrix)
             assert np.array_equal(w[k], alone_w) and np.array_equal(l[k], alone_l)
             assert np.all(l[k, rank:] == 0)
+
+
+def random_product(n, rng):
+    """A product of n Haar-random qubit states: every single-qubit marginal is pure, with off-diagonal entries."""
+    amps = np.ones(1, dtype=complex)
+    for _ in range(n):
+        qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        amps = np.kron(amps, qubit / np.linalg.norm(qubit))
+    return PureState(n, amps)
+
+
+class TestLeastEigenvalues:
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_closed_form_equals_eigvalsh_on_single_qubit_marginals(self, n):
+        # the singles' PSD floor reads this closed form: zero on pure marginals, 1/2 on GHZ ones
+        rng = np.random.default_rng(50 + n)
+        states = [random_haar_state(n, rng) for _ in range(3)] + [random_product(n, rng) for _ in range(3)]
+        states += [ghz(n), state_from_basis_terms(n, [("0" * n, 1), ("1" * n, np.exp(0.7j))])]
+        rho = np.array([[partial_trace(state, [q]).matrix for q in range(n)] for state in states])
+        np.testing.assert_allclose(_least_eigenvalues(rho), np.linalg.eigvalsh(rho)[..., 0], rtol=0, atol=1e-15)
 
 
 class TestThreeTangle:

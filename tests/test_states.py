@@ -183,18 +183,27 @@ class TestStateFromBasisTerms:
         with pytest.raises(ValueError):
             state_from_basis_terms(2, [])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # a coefficient beside 1, or whole term lists whose non-finite terms cancel to NaN in the accumulation
+    CANCELLING = [pytest.param([("00", np.inf), ("00", -np.inf)], id="inf-minus-inf"),
+                  pytest.param([("00", complex(0, np.inf)), ("00", complex(0, -np.inf))], id="imag-inf-minus-inf")]
+
+    @staticmethod
+    def terms(bad):
+        return bad if isinstance(bad, list) else [("00", 1), ("11", bad)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf] + CANCELLING)
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            state_from_basis_terms(2, [("00", 1), ("11", bad)])
+            state_from_basis_terms(2, self.terms(bad))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf] + CANCELLING)
     def test_non_finite_coefficient_coded_without_warning(self, bad):
-        # PureState judges finiteness: inf / inf in the normalization gives a NaN, not a RuntimeWarning
+        # PureState judges finiteness: inf / inf in the normalization, or inf - inf in the accumulation,
+        # gives a NaN, not a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StateError) as err:
-                state_from_basis_terms(2, [("00", 1), ("11", bad)])
+                state_from_basis_terms(2, self.terms(bad))
         assert err.value.code == "finite"
 
     def test_huge_coefficients_normalized_without_warning(self):
@@ -574,6 +583,15 @@ class TestRandomHaarState:
             z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
             assert row.tobytes() == (z / np.linalg.norm(z)).tobytes()  # the draw as one state's formula, bit for bit
             assert row.tobytes() == random_haar_state(n, np.random.default_rng([seed, i])).amplitudes.tobytes()
+
+    # seed words below 2^32 take the uint32 array route; 2^32 and 2^64 + 3 pass through as given
+    @pytest.mark.parametrize("i", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("s", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_seed_words_keep_the_stream(self, s, i):
+        [row] = _haar_amplitudes(3, [[s, i]])
+        parts = np.random.default_rng([s, i]).standard_normal((2, 8))
+        z = parts[0] + 1j * parts[1]
+        assert row.tobytes() == (z / np.linalg.norm(z)).tobytes()
 
     def test_mean_marginal_purity_two_qubits(self):
         # mean Tr(rho_A^2) over the invariant measure at n = 2 is
