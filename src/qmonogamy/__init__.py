@@ -2,7 +2,6 @@
 
 from .concurrence import (
     concurrence_of_assistance,
-    concurrence_pure,
     lambda_spectrum,
     pure_concurrence_sq,
     spin_flip,
@@ -14,14 +13,8 @@ from .monogamy import (
     BoundEntry,
     BoundReport,
     TriangleVectors,
-    ab_rest_lower,
-    ab_rest_upper,
-    abc_rest_lower_diff,
-    abc_rest_lower_hub,
-    abc_rest_upper,
     concurrence_chain,
     evaluate_all,
-    is_weight1_supported,
     triangle_vectors,
     wclass_bounds,
     wclass_state,
@@ -30,7 +23,6 @@ from .statefile import StateFileError, parse_state, read_state_file, serialize_s
 from .states import (
     MAX_QUBITS,
     DensityMatrix,
-    Partition,
     PureState,
     StateError,
     linear_entropy,
@@ -45,22 +37,14 @@ __all__ = [
     "BoundReport",
     "DensityMatrix",
     "EnsembleDecomposition",
-    "Partition",
     "PureState",
     "StateError",
     "StateFileError",
     "TriangleVectors",
-    "ab_rest_lower",
-    "ab_rest_upper",
-    "abc_rest_lower_diff",
-    "abc_rest_lower_hub",
-    "abc_rest_upper",
     "concurrence_chain",
     "concurrence_of_assistance",
-    "concurrence_pure",
     "convex_roof_optimize",
     "evaluate_all",
-    "is_weight1_supported",
     "lambda_spectrum",
     "linear_entropy",
     "parse_state",

@@ -172,8 +172,9 @@ def cmd_reproduce_paper(args) -> int:
     rows = []
     for case_id, description, state, checks in builtin_cases():
         print(f"case {case_id}: {description}")
+        report = evaluate_all(state)
         for quantity, compute, expected, note in checks:
-            computed = compute(state)
+            computed = compute(state, report)
             ok = abs(computed - expected) <= CHECK_TOLERANCE
             status = "ok" if ok else "FAIL"
             print(f"  {status:<5} {quantity:<30} expected {expected:>12.9g}  computed {computed:>12.9g}")

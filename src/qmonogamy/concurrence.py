@@ -18,7 +18,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .states import MAX_QUBITS, DensityMatrix, Partition, PureState, _admit, _check_floor, _qubit_count, _qubits
+from .states import MAX_QUBITS, DensityMatrix, PureState, _admit, _check_floor, _qubit_count, _qubits
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP_YY = np.kron(SIGMA_Y, SIGMA_Y).real  # real symmetric 4x4
@@ -191,17 +191,6 @@ class MarginalTable:
         it judges no ``left``, as the bounds pass fixed role sets and ``pure_concurrence_sq`` a set it has judged."""
         n = self.n_qubits
         return 2.0 * self.linear_entropies([left if 2 * len(left) <= n else set(range(n)) - set(left) for left in lefts])
-
-
-def concurrence_pure(state: PureState, partition: Partition) -> float:
-    """Bipartite concurrence of a pure state across ``partition``.
-
-    The partition must cover every qubit of the state.  The reduction is
-    taken over the smaller side; the value is symmetric in the two sides.
-    """
-    if partition.left | partition.right != frozenset(range(state.n_qubits)):
-        raise ValueError("partition must cover all qubits of the state")
-    return float(np.sqrt(pure_concurrence_sq(state, partition.left)))
 
 
 def pure_concurrence_sq(state: PureState, left) -> float:

@@ -2,9 +2,10 @@
 
 Subsystem roles are fixed by qubit position: qubit 0 is A, qubit 1 is B and
 qubit ``i + 1`` is C_i.  Callers wanting a different role assignment permute
-their amplitudes first.  Lower-bound evaluators return the raw signed value;
-a clamped-at-zero reading is reported alongside it in ``evaluate_all`` since
-a negative lower bound carries no information beyond C^2 >= 0.
+their amplitudes first.  Every bound is an entry of the ``evaluate_all``
+report.  A lower bound's entry holds its raw signed value, and a
+clamped-at-zero entry goes alongside it, since a negative lower bound carries
+no information beyond C^2 >= 0.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .states import PureState, _qubit_count, _qubits
 WEIGHT1_SUPPORT_ATOL = 1e-12
 DEFAULT_TOLERANCE = 1e-7
 TRIANGLE_DEGENERATE_EPS = 1e-12
-_MIN_QUBITS = 3  # the bounds' qubit-count minimum: AB|rest needs A, B and a rest (ABC1|rest needs 4)
+_MIN_QUBITS = 3  # the bounds' qubit-count minimum: AB|rest needs A, B and a rest; ABC1|rest entries start at 4
 
 
-def _table(amplitudes: np.ndarray, minimum: int = _MIN_QUBITS) -> MarginalTable:
+def _table(amplitudes: np.ndarray) -> MarginalTable:
     table = MarginalTable(amplitudes)
-    _qubit_count(table.n_qubits, "the bounds' qubit count", minimum)
+    _qubit_count(table.n_qubits, "the bounds' qubit count", _MIN_QUBITS)
     return table
 
 
@@ -60,25 +61,6 @@ def _grow(lower, upper, csq: np.ndarray, casq: np.ndarray, q: int) -> tuple:
     """
     assistance = _sum(casq[:, q])
     return lower - assistance, _sum(csq[:, q]) - upper, upper + assistance
-
-
-def _abc_rest(state: PureState) -> tuple:
-    """The ABC1|rest bounds (diff, hub, upper) of one state: the AB|rest bounds grown by C1."""
-    csq, casq = _table(state.amplitudes[None], 4).pair_sq
-    return _grow(_ab_rest_lower(csq, casq)[:, 0, 1], _ab_rest_upper(casq)[:, 0, 1], csq, casq, 2)
-
-
-def ab_rest_lower(state: PureState) -> float:
-    """Lower bound on C^2(AB|rest) from pairwise concurrence/assistance gaps.
-
-    Raw value of max over the two difference sums; may be negative.
-    """
-    return float(_ab_rest_lower(*_table(state.amplitudes[None]).pair_sq)[0, 0, 1])
-
-
-def ab_rest_upper(state: PureState) -> float:
-    """Upper bound on C^2(AB|rest) from the assistance of AB and all AB-C_i pairs."""
-    return float(_ab_rest_upper(_table(state.amplitudes[None]).pair_sq[1])[0, 0, 1])
 
 
 def concurrence_chain(state: PureState):
@@ -120,21 +102,6 @@ def triangle_vectors(state: PureState) -> TriangleVectors:
     return TriangleVectors(a_vec, b_vec, c_vec)
 
 
-def abc_rest_lower_diff(state: PureState) -> float:
-    """Raw lower bound on C^2(ABC1|rest): the AB-versus-rest bound minus C1's assistance total."""
-    return float(_abc_rest(state)[0][0])
-
-
-def abc_rest_lower_hub(state: PureState) -> float:
-    """Raw lower bound on C^2(ABC1|rest): C1's concurrence total minus the AB-versus-rest upper bound."""
-    return float(_abc_rest(state)[1][0])
-
-
-def abc_rest_upper(state: PureState) -> float:
-    """Upper bound on C^2(ABC1|rest): the AB-versus-rest upper bound plus C1's assistance total."""
-    return float(_abc_rest(state)[2][0])
-
-
 def wclass_state(coefficients) -> PureState:
     """State supported on Hamming-weight-1 basis labels with the given amplitudes, whose norm ``PureState`` judges."""
     coeffs = np.asarray(list(coefficients), dtype=complex)
@@ -164,11 +131,6 @@ def _weight1(amplitudes: np.ndarray) -> np.ndarray:
     return off <= WEIGHT1_SUPPORT_ATOL
 
 
-def is_weight1_supported(state: PureState) -> bool:
-    """True when all amplitude weight sits on Hamming-weight-1 basis labels."""
-    return bool(_weight1(state.amplitudes[None])[0])
-
-
 def _wclass_chain(table: MarginalTable):
     """The AB|rest bounds around C^2(A_i A_j | rest), C^2 read for C_a^2: (B, P) arrays over pairs i < j."""
     pairs, i, j = pair_index(table.n_qubits)
@@ -187,7 +149,7 @@ def wclass_bounds(state: PureState, i: int, j: int):
     pair = _qubits((i, j), "the pair (i, j)", range(table.n_qubits))
     if pair != (i, j):
         raise ValueError(f"need i < j, got ({i}, {j})")
-    if not is_weight1_supported(state):
+    if not _weight1(state.amplitudes[None])[0]:
         raise ValueError("state is not supported on Hamming-weight-1 basis labels")
     k = pair_index(table.n_qubits)[0].index(pair)
     return tuple(float(side[0, k]) for side in _wclass_chain(table))

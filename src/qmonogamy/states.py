@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -169,27 +169,14 @@ class DensityMatrix:
         return len(self.qubit_labels)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered pair of disjoint, non-empty qubit index sets."""
-
-    left: frozenset
-    right: frozenset
-
-    def __post_init__(self):
-        left, right = frozenset(_qubits(self.left, "left")), frozenset(_qubits(self.right, "right"))
-        if left & right:
-            raise ValueError(f"partition sides overlap: {sorted(left & right)}")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-
-def state_from_basis_terms(n: int, terms: Sequence) -> PureState:
+def state_from_basis_terms(n: int, terms: Iterable) -> PureState:
     """Build a normalized state from ``(bit-string label, coefficient)`` terms.
 
     Labels are length-``n`` strings over {0, 1}; repeated labels accumulate.
+    ``terms`` is read once, so a generator serves as well as a list.
     """
     n = _qubit_count(n, "n")
+    terms = list(terms)
     if not terms:
         raise ValueError("at least one basis term is required")
     amps = np.zeros(2**n, dtype=complex)

@@ -4,19 +4,14 @@ Each test prints one ACCEPTANCE line (run with ``pytest -s`` to stream them)
 and enforces its wall-clock budget.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 
 from qmonogamy import (
-    Partition,
-    ab_rest_lower,
-    ab_rest_upper,
-    abc_rest_lower_diff,
-    abc_rest_lower_hub,
     concurrence_of_assistance,
-    concurrence_pure,
     convex_roof_optimize,
     evaluate_all,
     linear_entropy,
@@ -55,11 +50,11 @@ def soft_checks(checks):
 def test_saturating_four_qubit_state():
     t0 = time.time()
     state = state_from_basis_terms(4, [("0000", 1), ("1001", 1)])
+    bounds = evaluate_all(state)
     checks = [
-        ("concurrence(AB|CD)", 1.0,
-         concurrence_pure(state, Partition(frozenset({0, 1}), frozenset({2, 3}))), 1e-9),
-        ("two-vs-rest lower bound", 1.0, ab_rest_lower(state), 1e-9),
-        ("two-vs-rest upper bound", 1.0, ab_rest_upper(state), 1e-9),
+        ("concurrence(AB|CD)", 1.0, math.sqrt(pure_concurrence_sq(state, [0, 1])), 1e-9),
+        ("two-vs-rest lower bound", 1.0, bounds.entry("ab_rest_lower").lhs, 1e-9),
+        ("two-vs-rest upper bound", 1.0, bounds.entry("ab_rest_upper").rhs, 1e-9),
     ]
     failures = soft_checks(checks)
     elapsed = time.time() - t0
@@ -77,12 +72,9 @@ def test_triangle_vector_worked_example():
     state = state_from_basis_terms(4, [("0000", 1), ("0010", 1), ("1110", 1)])
     tri = triangle_vectors(state)
     checks = [
-        ("concurrence(AB|CD)", 2 / 3,
-         concurrence_pure(state, Partition(frozenset({0, 1}), frozenset({2, 3}))), 1e-9),
-        ("concurrence(A|BCD)", 2 * SQRT2 / 3,
-         concurrence_pure(state, Partition(frozenset({0}), frozenset({1, 2, 3}))), 1e-9),
-        ("concurrence(B|ACD)", 2 * SQRT2 / 3,
-         concurrence_pure(state, Partition(frozenset({1}), frozenset({0, 2, 3}))), 1e-9),
+        ("concurrence(AB|CD)", 2 / 3, math.sqrt(pure_concurrence_sq(state, [0, 1])), 1e-9),
+        ("concurrence(A|BCD)", 2 * SQRT2 / 3, math.sqrt(pure_concurrence_sq(state, [0])), 1e-9),
+        ("concurrence(B|ACD)", 2 * SQRT2 / 3, math.sqrt(pure_concurrence_sq(state, [1])), 1e-9),
         ("a_vec x", 2 / 9, tri.a_vec[0], 1e-9),
         ("a_vec y", 2 * SQRT15 / 9, tri.a_vec[1], 1e-9),
         ("b_vec x", 2 / 9, tri.b_vec[0], 1e-9),
@@ -108,14 +100,15 @@ def test_six_qubit_examples():
     # holds C_a^2(C1,A) = 1 from the same Bell pair, gives 0; any value above
     # 0 would make evaluate_all report the bound as violated.  State 2's ebit
     # joins C1 and C2, so it straddles the cut and C^2(ABC1|rest) = 1.
+    bounds1, bounds2 = evaluate_all(ex1), evaluate_all(ex2)
     checks = [
         ("state 1 C^2(ABC1|rest)", 0.0, pure_concurrence_sq(ex1, [0, 1, 2]), 1e-9),
-        ("state 1 pair-gap lower bound", 0.0, abc_rest_lower_diff(ex1), 1e-9),
-        ("state 1 hub lower bound", 0.0, abc_rest_lower_hub(ex1), 1e-9),
+        ("state 1 pair-gap lower bound", 0.0, bounds1.entry("abc_rest_lower_diff").lhs, 1e-9),
+        ("state 1 hub lower bound", 0.0, bounds1.entry("abc_rest_lower_hub").lhs, 1e-9),
         ("state 2 C^2(ABC1|rest)", 1.0, pure_concurrence_sq(ex2, [0, 1, 2]), 1e-9),
-        ("state 2 hub lower bound", 1.0, abc_rest_lower_hub(ex2), 1e-9),
-        ("state 2 pair-gap lower bound (raw)", -1.0, abc_rest_lower_diff(ex2), 1e-9),
-        ("state 2 pair-gap lower bound (clamped)", 0.0, max(0.0, abc_rest_lower_diff(ex2)), 1e-9),
+        ("state 2 hub lower bound", 1.0, bounds2.entry("abc_rest_lower_hub").lhs, 1e-9),
+        ("state 2 pair-gap lower bound (raw)", -1.0, bounds2.entry("abc_rest_lower_diff").lhs, 1e-9),
+        ("state 2 pair-gap lower bound (clamped)", 0.0, bounds2.entry("abc_rest_lower_diff_clamped").lhs, 1e-9),
     ]
     failures = soft_checks(checks)
     elapsed = time.time() - t0

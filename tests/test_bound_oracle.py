@@ -21,7 +21,7 @@ import pytest
 
 from qmonogamy import linear_entropy, partial_trace, random_haar_state, wclass_state
 from qmonogamy.concurrence import MarginalTable
-from qmonogamy.monogamy import _entries, _wclass_chain, is_weight1_supported
+from qmonogamy.monogamy import _entries, _wclass_chain, _weight1
 
 from helpers import pair_sq, sparse_state, stacked
 
@@ -139,7 +139,7 @@ def entries(t, bounds=RowSums):
         out.append(("abc_rest_lower_hub", hub, mid_abc))
         out.append(("abc_rest_lower_hub_clamped", max(0.0, hub), mid_abc))
         out.append(("abc_rest_upper", mid_abc, upper))
-    if is_weight1_supported(t.state):
+    if _weight1(t.state.amplitudes[None])[0]:
         chains = wclass_chains(t, bounds)
         add_worst("wclass_lower", [(lower, mid) for lower, mid, _ in chains])
         add_worst("wclass_upper", [(mid, upper) for _, mid, upper in chains])
@@ -207,7 +207,7 @@ def test_stack_path_within_1e13_of_the_literal_sums(n):
                 assert abs((rhs - lhs) - (ref_rhs - ref_lhs)) <= 1e-13, (name, b)
             else:
                 assert abs(lhs - ref_lhs) <= 1e-13 and abs(rhs - ref_rhs) <= 1e-13, (name, b)
-        if is_weight1_supported(state):
+        if _weight1(state.amplitudes[None])[0]:
             ref_lower, ref_mid, ref_upper = zip(*wclass_chains(t, Literal))
             assert mid[b].tolist() == list(ref_mid)
             np.testing.assert_allclose(lower[b], ref_lower, rtol=0, atol=1e-13)

@@ -13,8 +13,8 @@ import qmonogamy.cases
 import qmonogamy.cli
 import qmonogamy.monogamy
 
-from qmonogamy import (PureState, StateError, ab_rest_lower, abc_rest_upper, evaluate_all, random_haar_state,
-                       read_state_file, state_from_basis_terms, wclass_bounds, write_state_file)
+from qmonogamy import (PureState, StateError, evaluate_all, random_haar_state, read_state_file, state_from_basis_terms,
+                       wclass_bounds, write_state_file)
 from qmonogamy.cli import CHUNK as DEFAULT_CHUNK, main
 from qmonogamy.concurrence import MarginalTable
 from qmonogamy.monogamy import BoundEntry, BoundReport, _entry, _weight1_amplitudes, wclass_state
@@ -103,6 +103,21 @@ class TestCheck:
         bad = BoundReport("s", 4, 1e-7, (BoundEntry("fake", 1.0, 0.0, -1.0, False),), {})
         monkeypatch.setattr("qmonogamy.cli.evaluate_all", lambda *a, **k: bad)
         assert main(["check", str(sat4_file)]) == 2
+
+    @pytest.mark.parametrize("tolerance", [None, "1e-3"])
+    @pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 2)])
+    def test_verdict_boundary(self, tolerance, factor, code, sat4_file, tmp_path, monkeypatch, capsys):
+        # the saturating state's ab_rest_upper slack is -8.9e-16; lowering the bound by delta moves it to about
+        # -delta, inside the tolerance at half of it and beyond it at twice it
+        tol = 1e-7 if tolerance is None else float(tolerance)
+        upper = qmonogamy.monogamy._ab_rest_upper
+        monkeypatch.setattr(qmonogamy.monogamy, "_ab_rest_upper", lambda ca_sq: upper(ca_sq) - factor * tol)
+        out = tmp_path / "report.json"
+        argv = ["check", str(sat4_file), "--out", str(out)] + (["--tolerance", tolerance] if tolerance else [])
+        assert main(argv) == code
+        entry = next(e for e in json.loads(out.read_text())["entries"] if e["inequality"] == "ab_rest_upper")
+        assert -(factor + 0.01) * tol < entry["slack"] < -(factor - 0.01) * tol
+        assert entry["satisfied"] is (code == 0)
 
     def test_bad_tolerance_exits_one(self, sat4_file, capsys):
         assert main(["check", str(sat4_file), "--tolerance", "-1"]) == 1
@@ -636,7 +651,7 @@ class TestExitCodeContract:
         assert err.startswith("error [io]") and "Traceback" not in err
 
     @pytest.mark.parametrize("case", ["check-2", "fuzz-2", "fuzz-13", "wclass-scan-2", "wclass-scan-13",
-                                      "evaluate_all-2", "ab_rest_lower-2", "abc_rest_upper-3", "wclass_bounds-2"])
+                                      "evaluate_all-2", "wclass_bounds-2"])
     def test_qubit_count_judged_by_one_rule(self, case, tmp_path, monkeypatch, capsys):
         # the bounds' qubit-count rule, met from the command line (before any work: no --out file) or from code
         monkeypatch.chdir(tmp_path)
@@ -657,11 +672,9 @@ class TestExitCodeContract:
             return
         call = {
             "evaluate_all-2": lambda: evaluate_all(weight1),
-            "ab_rest_lower-2": lambda: ab_rest_lower(weight1),
-            "abc_rest_upper-3": lambda: abc_rest_upper(state_from_basis_terms(3, [("000", 1), ("111", 1)])),
             "wclass_bounds-2": lambda: wclass_bounds(weight1, 0, 1),
         }[case]
-        with pytest.raises(StateError, match=f"at least {4 if case.endswith('-3') else 3} qubits") as err:
+        with pytest.raises(StateError, match="at least 3 qubits") as err:
             call()
         assert err.value.code == "qubits"
 

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qmonogamy import (
     DensityMatrix,
-    Partition,
     PureState,
     concurrence_of_assistance,
-    concurrence_pure,
     lambda_spectrum,
     partial_trace,
     pure_concurrence_sq,
@@ -62,39 +61,26 @@ class TestSpinFlip:
 class TestConcurrencePure:
     def test_saturating_state_pair_partition(self):
         state = state_from_basis_terms(4, [("0000", 1), ("1001", 1)])
-        p = Partition(frozenset({0, 1}), frozenset({2, 3}))
-        assert concurrence_pure(state, p) == pytest.approx(1.0, abs=1e-12)
+        assert math.sqrt(pure_concurrence_sq(state, [0, 1])) == pytest.approx(1.0, abs=1e-12)
 
     def test_triangle_state_partitions(self):
         # closed-triangle example: both single-qubit cuts give 2*sqrt(2)/3
         state = state_from_basis_terms(4, [("0000", 1), ("0010", 1), ("1110", 1)])
-        ab = Partition(frozenset({0, 1}), frozenset({2, 3}))
-        a = Partition(frozenset({0}), frozenset({1, 2, 3}))
-        b = Partition(frozenset({1}), frozenset({0, 2, 3}))
-        assert concurrence_pure(state, ab) == pytest.approx(2 / 3, abs=1e-12)
-        assert concurrence_pure(state, a) == pytest.approx(2 * SQRT2 / 3, abs=1e-12)
-        assert concurrence_pure(state, b) == pytest.approx(2 * SQRT2 / 3, abs=1e-12)
+        assert math.sqrt(pure_concurrence_sq(state, [0, 1])) == pytest.approx(2 / 3, abs=1e-12)
+        assert math.sqrt(pure_concurrence_sq(state, [0])) == pytest.approx(2 * SQRT2 / 3, abs=1e-12)
+        assert math.sqrt(pure_concurrence_sq(state, [1])) == pytest.approx(2 * SQRT2 / 3, abs=1e-12)
 
     def test_one_bit_flip_changes_the_values(self):
         # with qubit B = 0 in every term, B decouples: its cut concurrence
         # vanishes and the A cut drops to 2/3
         state = state_from_basis_terms(4, [("0000", 1), ("0010", 1), ("1010", 1)])
-        ab = Partition(frozenset({0, 1}), frozenset({2, 3}))
-        a = Partition(frozenset({0}), frozenset({1, 2, 3}))
-        b = Partition(frozenset({1}), frozenset({0, 2, 3}))
-        assert concurrence_pure(state, ab) == pytest.approx(2 / 3, abs=1e-12)
-        assert concurrence_pure(state, a) == pytest.approx(2 / 3, abs=1e-12)
-        assert concurrence_pure(state, b) == pytest.approx(0.0, abs=1e-9)
+        assert math.sqrt(pure_concurrence_sq(state, [0, 1])) == pytest.approx(2 / 3, abs=1e-12)
+        assert math.sqrt(pure_concurrence_sq(state, [0])) == pytest.approx(2 / 3, abs=1e-12)
+        assert math.sqrt(pure_concurrence_sq(state, [1])) == pytest.approx(0.0, abs=1e-9)
 
     def test_product_state_zero(self):
         state = state_from_basis_terms(4, [("0000", 1)])
-        p = Partition(frozenset({0, 2}), frozenset({1, 3}))
-        assert concurrence_pure(state, p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_partition_must_cover_state(self):
-        state = state_from_basis_terms(3, [("000", 1), ("111", 1)])
-        with pytest.raises(ValueError, match="cover"):
-            concurrence_pure(state, Partition(frozenset({0}), frozenset({1})))
+        assert math.sqrt(pure_concurrence_sq(state, [0, 2])) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("left", [[], [0, 1, 2], [3], [0, 5]])
     def test_squared_cut_needs_a_proper_subset(self, left):
@@ -113,8 +99,8 @@ class TestConcurrencePure:
         left = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
         right = frozenset(range(n)) - left
         state = random_haar_state(n, seed)
-        c1 = concurrence_pure(state, Partition(left, right))
-        c2 = concurrence_pure(state, Partition(right, left))
+        c1 = math.sqrt(pure_concurrence_sq(state, left))
+        c2 = math.sqrt(pure_concurrence_sq(state, right))
         assert abs(c1 - c2) < 1e-10
 
 
@@ -143,7 +129,7 @@ class TestWoottersConcurrence:
     def test_pure_input_collapses_to_pure_concurrence(self, seed):
         state = random_haar_state(2, seed)
         rho = partial_trace(state, [0, 1])
-        expected = concurrence_pure(state, Partition(frozenset({0}), frozenset({1})))
+        expected = math.sqrt(pure_concurrence_sq(state, [0]))
         assert wootters_concurrence(rho) == pytest.approx(expected, abs=1e-10)
         assert concurrence_of_assistance(rho) == pytest.approx(expected, abs=1e-10)
 
@@ -302,6 +288,5 @@ class TestLocalUnitaryInvariance:
             a, b = partial_trace(state, [i, j]), partial_trace(rotated, [i, j])
             assert abs(wootters_concurrence(a) - wootters_concurrence(b)) < 1e-9
             assert abs(concurrence_of_assistance(a) - concurrence_of_assistance(b)) < 1e-9
-        p = Partition(frozenset({0}), frozenset({1, 2}))
-        assert abs(concurrence_pure(state, p) - concurrence_pure(rotated, p)) < 1e-9
+        assert abs(math.sqrt(pure_concurrence_sq(state, [0])) - math.sqrt(pure_concurrence_sq(rotated, [0]))) < 1e-9
         assert abs(three_tangle(state, 0) - three_tangle(rotated, 0)) < 1e-9

@@ -9,15 +9,9 @@ from hypothesis import given, settings, strategies as st
 from qmonogamy import (
     MAX_QUBITS,
     PureState,
-    ab_rest_lower,
-    ab_rest_upper,
-    abc_rest_lower_diff,
-    abc_rest_lower_hub,
-    abc_rest_upper,
     concurrence_chain,
     concurrence_of_assistance,
     evaluate_all,
-    is_weight1_supported,
     lambda_spectrum,
     linear_entropy,
     partial_trace,
@@ -31,7 +25,7 @@ from qmonogamy import (
 )
 import qmonogamy.concurrence
 from qmonogamy.concurrence import MarginalTable, _block_index
-from qmonogamy.monogamy import _entries, role_name
+from qmonogamy.monogamy import _entries, _weight1, role_name
 
 from helpers import amplitude_block, pair_sq, sparse_state, stacked
 
@@ -53,38 +47,40 @@ W6 = state_from_basis_terms(6, [("0" * i + "1" + "0" * (5 - i), 1) for i in rang
 
 class TestAbRestBounds:
     def test_saturating_state(self):
-        assert ab_rest_lower(SAT4) == pytest.approx(1.0, abs=1e-12)
-        assert ab_rest_upper(SAT4) == pytest.approx(1.0, abs=1e-12)
+        report = evaluate_all(SAT4)
+        assert report.entry("ab_rest_lower").lhs == pytest.approx(1.0, abs=1e-12)
+        assert report.entry("ab_rest_upper").rhs == pytest.approx(1.0, abs=1e-12)
         assert pure_concurrence_sq(SAT4, [0, 1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_zero(self):
-        assert ab_rest_lower(ZEROS6) == pytest.approx(0.0, abs=1e-12)
-        assert ab_rest_upper(ZEROS6) == pytest.approx(0.0, abs=1e-12)
+        report = evaluate_all(ZEROS6)
+        assert report.entry("ab_rest_lower").lhs == pytest.approx(0.0, abs=1e-12)
+        assert report.entry("ab_rest_upper").rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_ghz4_raw_lower(self):
         # every pair marginal has concurrence 0 and assistance 1, so both
         # difference sums are -2; the raw bound stays negative
-        assert ab_rest_lower(GHZ4) == pytest.approx(-2.0, abs=1e-12)
-        assert ab_rest_upper(GHZ4) == pytest.approx(6.0, abs=1e-12)
+        report = evaluate_all(GHZ4)
+        assert report.entry("ab_rest_lower").lhs == pytest.approx(-2.0, abs=1e-12)
+        assert report.entry("ab_rest_upper").rhs == pytest.approx(6.0, abs=1e-12)
 
     def test_w4_upper(self):
         # each pair assistance is 1/2: 2/4 + 2*(1/4 + 1/4) = 3/2
-        assert ab_rest_upper(W4) == pytest.approx(1.5, abs=1e-12)
+        assert evaluate_all(W4).entry("ab_rest_upper").rhs == pytest.approx(1.5, abs=1e-12)
 
     def test_too_few_qubits_rejected(self):
         bell = state_from_basis_terms(2, [("00", 1), ("11", 1)])
         with pytest.raises(ValueError, match="at least 3"):
-            ab_rest_lower(bell)
-        with pytest.raises(ValueError, match="at least 3"):
-            ab_rest_upper(bell)
+            evaluate_all(bell)
 
     @given(seed=st.integers(0, 10**9), n=st.integers(3, 6))
     @settings(max_examples=40, deadline=None)
     def test_bracket_the_midpoint(self, seed, n):
         state = random_haar_state(n, seed)
         mid = pure_concurrence_sq(state, [0, 1])
-        assert ab_rest_lower(state) <= mid + 1e-7
-        assert ab_rest_upper(state) >= mid - 1e-7
+        report = evaluate_all(state)
+        assert report.entry("ab_rest_lower").lhs <= mid + 1e-7
+        assert report.entry("ab_rest_upper").rhs >= mid - 1e-7
 
 
 class TestConcurrenceChain:
@@ -150,9 +146,10 @@ class TestAbcRestBounds:
     def test_bell_a_c1_values(self):
         # the A-C1 ebit makes the pair-gap sum and C1's assistance total
         # cancel exactly; the true squared concurrence across ABC1|rest is 0
-        assert abc_rest_lower_diff(EX_BELL_A_C1) == pytest.approx(0.0, abs=1e-12)
-        assert abc_rest_lower_hub(EX_BELL_A_C1) == pytest.approx(0.0, abs=1e-12)
-        assert abc_rest_upper(EX_BELL_A_C1) == pytest.approx(2.0, abs=1e-12)
+        report = evaluate_all(EX_BELL_A_C1)
+        assert report.entry("abc_rest_lower_diff").lhs == pytest.approx(0.0, abs=1e-12)
+        assert report.entry("abc_rest_lower_hub").lhs == pytest.approx(0.0, abs=1e-12)
+        assert report.entry("abc_rest_upper").rhs == pytest.approx(2.0, abs=1e-12)
         assert pure_concurrence_sq(EX_BELL_A_C1, [0, 1, 2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_a_c1_hand_substitution(self):
@@ -162,40 +159,37 @@ class TestAbcRestBounds:
         assert c_ac1 == pytest.approx(1.0, abs=1e-12)
         assert ca_ac1 == pytest.approx(1.0, abs=1e-12)
         # max{C^2(AC1) - 0, 0 - Ca^2(AC1)} - Ca^2(C1A) = 1 - 1
-        assert abc_rest_lower_diff(EX_BELL_A_C1) == pytest.approx(
+        assert evaluate_all(EX_BELL_A_C1).entry("abc_rest_lower_diff").lhs == pytest.approx(
             c_ac1**2 - ca_ac1**2, abs=1e-12
         )
 
     def test_bell_c1_c2_values(self):
-        assert abc_rest_lower_diff(EX_BELL_C1_C2) == pytest.approx(-1.0, abs=1e-12)
-        assert max(0.0, abc_rest_lower_diff(EX_BELL_C1_C2)) == pytest.approx(0.0, abs=1e-12)
-        assert abc_rest_lower_hub(EX_BELL_C1_C2) == pytest.approx(1.0, abs=1e-12)
-        assert abc_rest_upper(EX_BELL_C1_C2) == pytest.approx(1.0, abs=1e-12)
+        report = evaluate_all(EX_BELL_C1_C2)
+        assert report.entry("abc_rest_lower_diff").lhs == pytest.approx(-1.0, abs=1e-12)
+        assert report.entry("abc_rest_lower_diff_clamped").lhs == pytest.approx(0.0, abs=1e-12)
+        assert report.entry("abc_rest_lower_hub").lhs == pytest.approx(1.0, abs=1e-12)
+        assert report.entry("abc_rest_upper").rhs == pytest.approx(1.0, abs=1e-12)
         assert pure_concurrence_sq(EX_BELL_C1_C2, [0, 1, 2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_zero(self):
-        assert abc_rest_lower_diff(ZEROS6) == pytest.approx(0.0, abs=1e-12)
-        assert abc_rest_lower_hub(ZEROS6) == pytest.approx(0.0, abs=1e-12)
-        assert abc_rest_upper(ZEROS6) == pytest.approx(0.0, abs=1e-12)
+        report = evaluate_all(ZEROS6)
+        assert report.entry("abc_rest_lower_diff").lhs == pytest.approx(0.0, abs=1e-12)
+        assert report.entry("abc_rest_lower_hub").lhs == pytest.approx(0.0, abs=1e-12)
+        assert report.entry("abc_rest_upper").rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_w6_upper(self):
         # 15 pair assistances of 1/3 each: 2/9 + 8/9 + 5/9
-        assert abc_rest_upper(W6) == pytest.approx(15 / 9, abs=1e-12)
-
-    def test_needs_four_qubits(self):
-        ghz3 = state_from_basis_terms(3, [("000", 1), ("111", 1)])
-        for fn in (abc_rest_lower_diff, abc_rest_lower_hub, abc_rest_upper):
-            with pytest.raises(ValueError, match="at least 4"):
-                fn(ghz3)
+        assert evaluate_all(W6).entry("abc_rest_upper").rhs == pytest.approx(15 / 9, abs=1e-12)
 
     @given(seed=st.integers(0, 10**9), n=st.integers(4, 6))
     @settings(max_examples=40, deadline=None)
     def test_bracket_the_midpoint(self, seed, n):
         state = random_haar_state(n, seed)
         mid = pure_concurrence_sq(state, [0, 1, 2])
-        assert abc_rest_lower_diff(state) <= mid + 1e-7
-        assert abc_rest_lower_hub(state) <= mid + 1e-7
-        assert abc_rest_upper(state) >= mid - 1e-7
+        report = evaluate_all(state)
+        assert report.entry("abc_rest_lower_diff").lhs <= mid + 1e-7
+        assert report.entry("abc_rest_lower_hub").lhs <= mid + 1e-7
+        assert report.entry("abc_rest_upper").rhs >= mid - 1e-7
 
 
 class TestWclassStates:
@@ -208,7 +202,7 @@ class TestWclassStates:
     def test_single_coefficient_product_state(self):
         state = wclass_state([1, 0, 0])
         assert state.amplitudes[4] == pytest.approx(1.0)
-        assert is_weight1_supported(state)
+        assert _weight1(state.amplitudes[None])[0]
 
     def test_uniform_w5_amplitudes(self):
         state = wclass_state([1 / np.sqrt(5)] * 5)
@@ -260,7 +254,7 @@ class TestWclassStates:
     def test_two_qubit_state_rejected_by_qubit_count(self):
         # (|01> + |10>)/sqrt(2) is weight-1 supported, but the AB|rest bounds need a rest
         bell = state_from_basis_terms(2, [("01", 1), ("10", 1)])
-        assert is_weight1_supported(bell)
+        assert _weight1(bell.amplitudes[None])[0]
         with pytest.raises(ValueError, match="at least 3") as err:
             wclass_bounds(bell, 0, 1)
         assert err.value.code == "qubits"
@@ -551,9 +545,7 @@ class TestMarginalTable:
         state = random_wclass_state(n, seed) if weight1 else random_haar_state(n, seed)
         report = evaluate_all(state)
         mid_ab = pure_concurrence_sq(state, [0, 1])
-        assert report.entry("ab_rest_lower").lhs == ab_rest_lower(state)
         assert report.entry("ab_rest_lower").rhs == mid_ab
-        assert report.entry("ab_rest_upper").rhs == ab_rest_upper(state)
         assert (report.entry("chain_lower").lhs, mid_ab, report.entry("chain_upper").rhs) == concurrence_chain(state)
         for i in range(n):
             for j in range(i + 1, n):
@@ -571,12 +563,10 @@ class TestMarginalTable:
             double[hi], single[hi[0]] + single[hi[1]])
         if n >= 4:
             mid_abc = pure_concurrence_sq(state, [0, 1, 2])
-            diff, hub = abc_rest_lower_diff(state), abc_rest_lower_hub(state)
-            assert (report.entry("abc_rest_lower_diff").lhs, report.entry("abc_rest_lower_diff").rhs) == (diff, mid_abc)
+            diff, hub = report.entry("abc_rest_lower_diff").lhs, report.entry("abc_rest_lower_hub").lhs
+            assert report.entry("abc_rest_lower_diff").rhs == mid_abc
             assert report.entry("abc_rest_lower_diff_clamped").lhs == max(0.0, diff)
-            assert report.entry("abc_rest_lower_hub").lhs == hub
             assert report.entry("abc_rest_lower_hub_clamped").lhs == max(0.0, hub)
-            assert report.entry("abc_rest_upper").rhs == abc_rest_upper(state)
         if weight1:
             chains = [wclass_bounds(state, i, j) for i in range(n) for j in range(i + 1, n)]
             lower, mid, _ = min(chains, key=lambda c: c[1] - c[0])

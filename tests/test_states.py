@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qmonogamy import (
     DensityMatrix,
-    Partition,
     PureState,
     StateError,
     concurrence_of_assistance,
-    concurrence_pure,
     convex_roof_optimize,
     lambda_spectrum,
     linear_entropy,
@@ -44,7 +42,6 @@ W3 = state_from_basis_terms(3, [("100", 1), ("010", 2), ("001", 3)])
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: partial_trace(HAAR3, [1.9]), id="partial_trace-float"),
     pytest.param(lambda: partial_trace(HAAR3, [True, 2]), id="partial_trace-bool"),
-    pytest.param(lambda: Partition(frozenset({0.5}), frozenset({1, 2})), id="Partition-float"),
     pytest.param(lambda: DensityMatrix((0.7,), np.eye(2) / 2), id="DensityMatrix-float"),
     pytest.param(lambda: pure_concurrence_sq(HAAR3, [True]), id="pure_concurrence_sq-bool"),
     pytest.param(lambda: wclass_bounds(W3, True, 2), id="wclass_bounds-bool"),
@@ -61,7 +58,6 @@ def test_non_integer_qubit_index_rejected(call):
 
 def test_numpy_integer_qubit_indices_accepted():
     assert partial_trace(HAAR3, [np.int64(2), np.uint8(0)]).qubit_labels == (0, 2)
-    assert Partition(frozenset({np.intp(0)}), frozenset({1, 2})).left == frozenset({0})
     assert three_tangle(HAAR3, np.int32(1)) == pytest.approx(three_tangle(HAAR3, 1), abs=1e-12)
     assert wclass_bounds(W3, np.int64(0), np.int64(2)) == wclass_bounds(W3, 0, 2)
     assert pure_concurrence_sq(HAAR3, [np.int16(1)]) == pure_concurrence_sq(HAAR3, [1])
@@ -83,8 +79,6 @@ QUBIT_ARGUMENTS = {
                                     [([0, 2],), ([1.0, 2],), ([True, 2],), ([],), ([0, 0],), ([-1, 2],), ([0, 3],)]),
     "DensityMatrix": (lambda labels: _mixed(labels).qubit_labels,
                       [((0, 2),), ((1.0, 2),), ((True, 2),), ((),), ((0, 0),), ((-1, 2),), None]),
-    "Partition": (lambda left: concurrence_pure(HAAR3, Partition(left, [q for q in range(3) if q not in left])),
-                  [([0, 2],), ([1.0, 2],), ([True, 2],), ([],), ([0, 0],), ([-1, 2],), ([0, 3],)]),
     "pure_concurrence_sq": (lambda left: pure_concurrence_sq(HAAR3, left),
                             [([0, 2],), ([1.0, 2],), ([True, 2],), ([],), ([0, 0],), ([-1, 2],), ([0, 3],)]),
     "three_tangle": (lambda focus: three_tangle(HAAR3, focus),
@@ -149,8 +143,11 @@ class TestStateFromBasisTerms:
         np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-15)
 
     def test_bell_state(self):
-        state = state_from_basis_terms(2, [("00", 1), ("11", 1)])
-        np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
+        terms = [("00", 1), ("11", 1)]
+        # the terms are read once: a one-shot generator gives the state a list does
+        for given in (terms, (term for term in terms), dict(terms).items()):
+            state = state_from_basis_terms(2, given)
+            np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
 
     def test_label_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="bit string"):
@@ -180,8 +177,9 @@ class TestStateFromBasisTerms:
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
 
     def test_empty_terms_rejected(self):
-        with pytest.raises(ValueError):
-            state_from_basis_terms(2, [])
+        for empty in ([], (term for term in [])):
+            with pytest.raises(ValueError, match="at least one basis term"):
+                state_from_basis_terms(2, empty)
 
     # a coefficient beside 1, or whole term lists whose non-finite terms cancel to NaN in the accumulation
     CANCELLING = [pytest.param([("00", np.inf), ("00", -np.inf)], id="inf-minus-inf"),
@@ -347,7 +345,7 @@ class TestDensityMatrixInvariants:
 
     @pytest.mark.parametrize("labels", [(-3, 7), (-1,)])
     def test_negative_labels_rejected(self, labels):
-        # labels name qubits of the original system, as Partition's indices do
+        # labels name qubits of the original system, as the qubit indices of a cut do
         with pytest.raises(ValueError, match="qubit labels must be non-negative"):
             DensityMatrix(labels, np.eye(2 ** len(labels), dtype=complex) / 2 ** len(labels))
 
@@ -432,20 +430,6 @@ def test_admission_reads_a_stack_of_any_layout(layout, off):
     largest = max(np.abs(tr.real).max(), np.abs(tr.imag).max())
     with pytest.raises(ValueError, match=f"^trace deviates from 1 by {largest}, beyond tolerance$"):
         _admit(copy)
-
-
-class TestPartition:
-    def test_disjoint_required(self):
-        with pytest.raises(ValueError, match="overlap"):
-            Partition(frozenset({0, 1}), frozenset({1, 2}))
-
-    def test_non_empty_required(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            Partition(frozenset(), frozenset({0}))
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Partition(frozenset({-1}), frozenset({0}))
 
 
 class TestPartialTrace:
