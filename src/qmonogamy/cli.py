@@ -68,15 +68,15 @@ def _json_bound(e: dict) -> str:
             f'      "slack": {_json_num(e["slack"])},\n      "satisfied": {_json_bool(e["satisfied"])}')
 
 
-def _json_report(doc: dict) -> str:
-    """The ``check`` report, ``BoundReport.to_dict()``."""
+def _json_report(report) -> str:
+    """The ``check`` report, ``dataclasses.asdict(report)`` of a ``BoundReport``."""
     entries = [f'{{\n      "inequality": {_json_str(e["inequality"])},\n      {_json_bound(e)}\n    }}'
-               for e in doc["entries"]]
+               for e in map(vars, report.entries)]
     components = [f'{_json_str(pair)}: {{\n      "concurrence_sq": {_json_num(c["concurrence_sq"])},\n'
                   f'      "assistance_sq": {_json_num(c["assistance_sq"])}\n    }}'
-                  for pair, c in doc["components"].items()]
-    return (f'{{\n  "state_id": {_json_str(doc["state_id"])},\n  "n_qubits": {doc["n_qubits"]},\n'
-            f'  "tolerance": {_json_num(doc["tolerance"])},\n  "entries": {_json_block(entries, "[]")},\n'
+                  for pair, c in report.components.items()]
+    return (f'{{\n  "state_id": {_json_str(report.state_id)},\n  "n_qubits": {report.n_qubits},\n'
+            f'  "tolerance": {_json_num(report.tolerance)},\n  "entries": {_json_block(entries, "[]")},\n'
             f'  "components": {_json_block(components, "{}")}\n}}\n')
 
 
@@ -115,7 +115,7 @@ def _emit(text: str, out: str | None):
 def cmd_check(args) -> int:
     state = read_state_file(args.state_file)
     report = evaluate_all(state, tolerance=args.tolerance, state_id=str(args.state_file))
-    text = _entries_csv(report.entries) if args.format == "csv" else _json_report(report.to_dict())
+    text = _entries_csv(report.entries) if args.format == "csv" else _json_report(report)
     _emit(text, args.out)
     return 0 if report.all_satisfied() else 2
 
@@ -170,11 +170,9 @@ def cmd_fuzz(args) -> int:
 
 def cmd_reproduce_paper(args) -> int:
     rows = []
-    for case_id, description, state, checks in builtin_cases():
+    for case_id, description, checks in builtin_cases():
         print(f"case {case_id}: {description}")
-        report = evaluate_all(state)
-        for quantity, compute, expected, note in checks:
-            computed = compute(state, report)
+        for quantity, computed, expected, note in checks:
             ok = abs(computed - expected) <= CHECK_TOLERANCE
             status = "ok" if ok else "FAIL"
             print(f"  {status:<5} {quantity:<30} expected {expected:>12.9g}  computed {computed:>12.9g}")

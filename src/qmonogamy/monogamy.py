@@ -187,14 +187,6 @@ class BoundReport:
                 return e
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        """``dataclasses.asdict(self)`` without its deep copies: below the dicts every value is immutable."""
-        return {
-            "state_id": self.state_id, "n_qubits": self.n_qubits, "tolerance": self.tolerance,
-            "entries": tuple(vars(e).copy() for e in self.entries),
-            "components": {pair: dict(values) for pair, values in self.components.items()},
-        }
-
 
 def evaluate_all(state: PureState, tolerance: float = DEFAULT_TOLERANCE, state_id: str = "state") -> BoundReport:
     """Evaluate every bound applicable at the state's size and report slack.

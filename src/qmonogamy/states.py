@@ -10,6 +10,7 @@ roles follow the same order: qubit 0 plays A, qubit 1 plays B and qubit
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -181,7 +182,10 @@ def state_from_basis_terms(n: int, terms: Iterable) -> PureState:
         raise ValueError("at least one basis term is required")
     amps = np.zeros(2**n, dtype=complex)
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which PureState rejects with code finite
-        for label, coeff in terms:
+        for term in terms:
+            if isinstance(term, str) or not isinstance(term, Sequence) or len(term) != 2 or not isinstance(term[0], str):
+                raise ValueError(f"basis term {term!r} is not a (label, coefficient) pair with a str label")
+            label, coeff = term
             if len(label) != n or any(ch not in "01" for ch in label):
                 raise ValueError(f"basis label {label!r} is not a length-{n} bit string")
             amps[int(label, 2)] += complex(coeff)

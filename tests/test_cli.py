@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -234,6 +235,29 @@ class TestFuzz(OneFillPerChunk):
         captured = capsys.readouterr()
         assert captured.err == "error [config]: seed must be non-negative\n" and captured.out == ""
 
+    @pytest.mark.parametrize("tolerance", [None, "1e-3"])
+    @pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 2)])
+    def test_verdict_boundary(self, tolerance, factor, code, tmp_path, monkeypatch, capsys):
+        # the first state's ab_rest_upper rhs planted at lhs - delta: a slack of about -delta, inside the tolerance
+        # at half of it and beyond it at twice it
+        tol = 1e-7 if tolerance is None else float(tolerance)
+        entries = qmonogamy.cli._entries
+
+        def planted(table):
+            row_sets = entries(table)
+            _, names, lhs, rhs = row_sets[0]
+            k = names.index("ab_rest_upper")
+            rhs[k, 0] = lhs[k, 0] - factor * tol
+            return row_sets
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(qmonogamy.cli, "_entries", planted)
+        argv = ["fuzz", "--qubits", "4", "--count", "5", "--seed", "1", "--out", "fuzz.json"]
+        assert main(argv + (["--tolerance", tolerance] if tolerance else [])) == code
+        entry = json.loads((tmp_path / "fuzz.json").read_text())["min_slack"]["ab_rest_upper"]
+        assert -(factor + 0.01) * tol < entry["slack"] < -(factor - 0.01) * tol
+        assert entry["satisfied"] is (code == 0)
+
     # n = 4 is the benchmark's size and the last on the amplitude-block pair route; n = 5 takes eigh of rho
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_output_does_not_depend_on_the_chunk(self, n, tmp_path, monkeypatch, capsys):
@@ -461,8 +485,8 @@ class TestReproducePaper:
         # a pinned closed form that does not reproduce is an implementation bug, as a violated bound is
         def one_wrong():
             cases = qmonogamy.cases.builtin_cases()
-            quantity, compute, expected, note = cases[0][3][0]
-            cases[0][3][0] = (quantity, compute, expected + 0.5, note)
+            quantity, computed, expected, note = cases[0][2][0]
+            cases[0][2][0] = (quantity, computed, expected + 0.5, note)
             return cases
 
         monkeypatch.setattr(qmonogamy.cli, "builtin_cases", one_wrong)
@@ -470,6 +494,12 @@ class TestReproducePaper:
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.lstrip().startswith("FAIL") for line in lines) == 1
         assert lines[-1] == "41/42 checks passed"
+
+    def test_each_case_computes_its_values_once(self, table_work, capsys):
+        # one report for each of the four cases that read bound entries, one table for each of the 7 cuts, one
+        # for the triangle vectors and one for the W-class chain
+        assert main(["reproduce-paper"]) == 0
+        assert table_work.fills == [1] * 13
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "cases.json"
@@ -553,6 +583,27 @@ class TestWclassScan(OneFillPerChunk):
             runs.add(self.scan_with_a_broken_side(tmp_path / str(chunk), monkeypatch, capsys, 0, np.nan, chunk))
             monkeypatch.undo()  # the next clean run reads the real chain
         assert len(runs) == 1
+
+    @pytest.mark.parametrize("tolerance", [None, "1e-3"])
+    @pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 2)])
+    def test_verdict_boundary(self, tolerance, factor, code, tmp_path, monkeypatch, capsys):
+        # the first state's first upper side planted at mid - delta: an upper gap of about -delta, inside the
+        # tolerance at half of it and beyond it at twice it
+        tol = 1e-7 if tolerance is None else float(tolerance)
+        chain = qmonogamy.cli._wclass_chain
+
+        def planted(table):
+            lower, mid, upper = chain(table)
+            upper[0, 0] = mid[0, 0] - factor * tol
+            return lower, mid, upper
+
+        monkeypatch.setattr(qmonogamy.cli, "_wclass_chain", planted)
+        out = tmp_path / "scan.csv"
+        argv = ["wclass-scan", "--n", "4", "--count", "5", "--seed", "3", "--out", str(out)]
+        assert main(argv + (["--tolerance", tolerance] if tolerance else [])) == code
+        gap = float(out.read_text().splitlines()[1].split(",")[-1])
+        assert -(factor + 0.01) * tol < gap < -(factor - 0.01) * tol
+        assert capsys.readouterr().err == ("" if code == 0 else "1 rows violate the two-sided bound\n")
 
     @staticmethod
     def scan_with_a_broken_side(tmp_path, monkeypatch, capsys, side, value, chunk=4):
@@ -749,11 +800,11 @@ class TestJsonWriter:
     def test_check_reports(self, n, tmp_path):
         weights = np.arange(1.0, n + 1)
         for state in (random_haar_state(n, n), wclass_state(weights / np.linalg.norm(weights))):
-            doc = evaluate_all(state).to_dict()
+            report = evaluate_all(state)
             for state_id in self.IDS:
-                doc["state_id"] = state_id
-                assert qmonogamy.cli._json_report(doc) == stdlib_json(doc)
-        assert {"wclass_lower", "wclass_upper"} <= {e["inequality"] for e in doc["entries"]}
+                report = dataclasses.replace(report, state_id=state_id)
+                assert qmonogamy.cli._json_report(report) == stdlib_json(dataclasses.asdict(report))
+        assert {"wclass_lower", "wclass_upper"} <= {e.inequality for e in report.entries}
         # the whole command, its state id being the file's path
         path = tmp_path / "a \"q\" b\\s %s \u00fc {}.json"
         write_state_file(state, path)
@@ -766,8 +817,7 @@ class TestJsonWriter:
         components = {f"p{k}": {"concurrence_sq": x, "assistance_sq": -x} for k, x in enumerate(self.ODD)}
         for tolerance in self.ODD:
             for report in (BoundReport("s", 7, tolerance, entries, components), BoundReport("", 3, tolerance, (), {})):
-                doc = report.to_dict()
-                assert qmonogamy.cli._json_report(doc) == stdlib_json(doc)
+                assert qmonogamy.cli._json_report(report) == stdlib_json(dataclasses.asdict(report))
             args = argparse.Namespace(qubits=12, count=10**6, seed=2**63, tolerance=tolerance)
             for worst in ({e.inequality: e for e in entries}, {}):
                 doc = {"config": vars(args),
@@ -799,8 +849,8 @@ class TestJsonWriter:
 
         def one_wrong():
             rows = cases()
-            quantity, compute, expected, note = rows[1][3][2]
-            rows[1][3][2] = (quantity, compute, expected + 0.5, note)
+            quantity, computed, expected, note = rows[1][2][2]
+            rows[1][2][2] = (quantity, computed, expected + 0.5, note)
             return rows
 
         out = tmp_path / "checks.json"

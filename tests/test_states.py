@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -156,6 +157,19 @@ class TestStateFromBasisTerms:
     def test_non_binary_label_rejected(self):
         with pytest.raises(ValueError, match="bit string"):
             state_from_basis_terms(2, [("02", 1)])
+
+    @pytest.mark.parametrize("n, terms, term", [
+        (2, {"00": 1, "11": 1}, "00"),  # a dict is read by its keys
+        (2, ["00"], "00"),
+        (1, [("0",)], ("0",)),
+        (1, [("0", 1, 2)], ("0", 1, 2)),
+        (2, [(0, 1)], (0, 1)),
+        (2, [(b"00", 1)], (b"00", 1)),
+        (2, [("00", 1), 5], 5),
+    ])
+    def test_malformed_term_named(self, n, terms, term):
+        with pytest.raises(ValueError, match=re.escape(f"basis term {term!r} is not a (label, coefficient) pair")):
+            state_from_basis_terms(n, terms)
 
     def test_zero_coefficients_rejected(self):
         with pytest.raises(ValueError, match="zero"):
