@@ -5,56 +5,60 @@ small states whose concurrences and bounds are known in closed form.  Each
 check is one row: the quantity, its value computed from the case's state, its
 exact expected value and a short note saying where the number comes from.
 Each case computes its values once: a bound is read from the entries of one
-``evaluate_all`` report, a cut from ``pure_concurrence_sq``, a pair value from
-one ``partial_trace`` per pair and the closed forms.  Every check is held to
-the same tolerance, ``CHECK_TOLERANCE``.
+``evaluate_all`` report, a cut from ``pure_concurrence_sq``, and a pair's
+concurrence and assistance from the closed forms of one lambda spectrum of one
+``partial_trace``.  Every check is held to the same tolerance,
+``CHECK_TOLERANCE``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .concurrence import (
-    concurrence_of_assistance,
-    pure_concurrence_sq,
-    wootters_concurrence,
-)
+from .concurrence import _assistance, _wootters, lambda_spectrum, pure_concurrence_sq
 from .monogamy import evaluate_all, triangle_vectors, wclass_bounds, wclass_state
 from .states import partial_trace, state_from_basis_terms
 
 CHECK_TOLERANCE = 1e-9
 
 
+def _pair_values(state, pair):
+    """(concurrence, assistance) of a pair's marginal, as ``wootters_concurrence`` and
+    ``concurrence_of_assistance`` give them, both read from one lambda spectrum."""
+    l = lambda_spectrum(partial_trace(state, pair))
+    return float(_wootters(l)), float(_assistance(l))
+
+
 def builtin_cases():
     """Fresh rows (case_id, description, checks), each check (quantity, computed, expected, note)."""
     sat4 = state_from_basis_terms(4, [("0000", 1), ("1001", 1)])
     sat4_bounds = evaluate_all(sat4)
-    sat4_pairs = {pair: partial_trace(sat4, pair) for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]}
+    sat4_pairs = {pair: _pair_values(sat4, pair) for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]}
     # With |1010> as the third term (B = 0 throughout) no single-qubit
     # marginal has the spectrum {2/3, 1/3} that the pinned values require;
     # flipping B in that term is the variant that attains all of them.
     phi = state_from_basis_terms(4, [("0000", 1), ("0010", 1), ("1110", 1)])
     phi_bounds, phi_sides = evaluate_all(phi), triangle_vectors(phi)
     ex1 = state_from_basis_terms(6, [("000000", 1), ("101000", 1)])
-    ex1_bounds, ex1_pair = evaluate_all(ex1), partial_trace(ex1, [0, 2])
+    ex1_bounds, (ex1_c, ex1_ca) = evaluate_all(ex1), _pair_values(ex1, [0, 2])
     ex2 = state_from_basis_terms(6, [("000000", 1), ("001100", 1)])
-    ex2_bounds, ex2_pair = evaluate_all(ex2), partial_trace(ex2, [2, 3])
+    ex2_bounds, (ex2_c, ex2_ca) = evaluate_all(ex2), _pair_values(ex2, [2, 3])
     w5 = wclass_state([1 / math.sqrt(5)] * 5)
-    (w5_lower, w5_mid, w5_upper), w5_pair = wclass_bounds(w5, 0, 1), partial_trace(w5, [0, 1])
+    (w5_lower, w5_mid, w5_upper), (w5_c, w5_ca) = wclass_bounds(w5, 0, 1), _pair_values(w5, [0, 1])
 
     return [
         ("saturating-4q", "(|0000> + |1001>)/sqrt(2): both AB|CD bounds saturate", [
             ("concurrence_sq[AB|CD]", pure_concurrence_sq(sat4, [0, 1]), 1.0, "one ebit across the AB|CD cut"),
             ("ab_rest_lower", sat4_bounds.entry("ab_rest_lower").lhs, 1.0, "lower bound saturates"),
             ("ab_rest_upper", sat4_bounds.entry("ab_rest_upper").rhs, 1.0, "upper bound saturates"),
-            ("concurrence[A-C1]", wootters_concurrence(sat4_pairs[0, 2]), 0.0, "A-C1 marginal is product"),
-            ("concurrence[A-C2]", wootters_concurrence(sat4_pairs[0, 3]), 1.0, "A-C2 marginal is a Bell pair"),
-            ("assistance[A-B]", concurrence_of_assistance(sat4_pairs[0, 1]), 0.0, "no assisted entanglement for A-B"),
-            ("assistance[A-C1]", concurrence_of_assistance(sat4_pairs[0, 2]), 0.0, "none for A-C1"),
-            ("assistance[A-C2]", concurrence_of_assistance(sat4_pairs[0, 3]), 1.0,
+            ("concurrence[A-C1]", sat4_pairs[0, 2][0], 0.0, "A-C1 marginal is product"),
+            ("concurrence[A-C2]", sat4_pairs[0, 3][0], 1.0, "A-C2 marginal is a Bell pair"),
+            ("assistance[A-B]", sat4_pairs[0, 1][1], 0.0, "no assisted entanglement for A-B"),
+            ("assistance[A-C1]", sat4_pairs[0, 2][1], 0.0, "none for A-C1"),
+            ("assistance[A-C2]", sat4_pairs[0, 3][1], 1.0,
              "full assisted entanglement for A-C2"),
-            ("assistance[B-C1]", concurrence_of_assistance(sat4_pairs[1, 2]), 0.0, "none for B-C1"),
-            ("assistance[B-C2]", concurrence_of_assistance(sat4_pairs[1, 3]), 0.0, "none for B-C2"),
+            ("assistance[B-C1]", sat4_pairs[1, 2][1], 0.0, "none for B-C1"),
+            ("assistance[B-C2]", sat4_pairs[1, 3][1], 0.0, "none for B-C2"),
         ]),
         ("triangle-4q", "(|0000> + |0010> + |1110>)/sqrt(3): closed vector triangle", [
             ("concurrence[AB|CD]", math.sqrt(pure_concurrence_sq(phi, [0, 1])), 2 / 3, "pair-versus-rest concurrence"),
@@ -81,8 +85,8 @@ def builtin_cases():
             ("abc_rest_upper", ex1_bounds.entry("abc_rest_upper").rhs, 2.0, "A-C1 assistance counted in both sums"),
             ("ab_rest_lower", ex1_bounds.entry("ab_rest_lower").lhs, 1.0, "AB|C1C2C3C4 lower bound saturates"),
             ("concurrence_sq[AB|rest]", pure_concurrence_sq(ex1, [0, 1]), 1.0, "the ebit straddles the AB|rest cut"),
-            ("concurrence[A-C1]", wootters_concurrence(ex1_pair), 1.0, "Bell pair"),
-            ("assistance[A-C1]", concurrence_of_assistance(ex1_pair), 1.0, "Bell pair"),
+            ("concurrence[A-C1]", ex1_c, 1.0, "Bell pair"),
+            ("assistance[A-C1]", ex1_ca, 1.0, "Bell pair"),
         ]),
         ("six-qubit-bell-c1-c2", "(|000000> + |001100>)/sqrt(2): ebit between C1 and C2", [
             ("concurrence_sq[ABC1|rest]", pure_concurrence_sq(ex2, [0, 1, 2]), 1.0,
@@ -94,15 +98,15 @@ def builtin_cases():
             ("abc_rest_lower_hub", ex2_bounds.entry("abc_rest_lower_hub").lhs, 1.0,
              "hub bound saturates: tighter than the pair-gap bound"),
             ("abc_rest_upper", ex2_bounds.entry("abc_rest_upper").rhs, 1.0, "upper bound saturates"),
-            ("concurrence[C1-C2]", wootters_concurrence(ex2_pair), 1.0, "Bell pair"),
-            ("assistance[C1-C2]", concurrence_of_assistance(ex2_pair), 1.0, "Bell pair"),
+            ("concurrence[C1-C2]", ex2_c, 1.0, "Bell pair"),
+            ("assistance[C1-C2]", ex2_ca, 1.0, "Bell pair"),
         ]),
         ("uniform-w5", "uniform five-qubit weight-1 state, pair (1, 2)", [
             ("wclass_lower[1,2]", w5_lower, 0.0, "symmetric coefficients cancel the difference sum"),
             ("wclass_mid[1,2]", w5_mid, 24 / 25, "pair marginal purity is 13/25"),
             ("wclass_upper[1,2]", w5_upper, 32 / 25, "2(2/5)^2 + 6(2/5)^2"),
-            ("concurrence[pair]", wootters_concurrence(w5_pair), 2 / 5, "2|a_p a_q| for uniform weights"),
-            ("assistance[pair]", concurrence_of_assistance(w5_pair), 2 / 5,
+            ("concurrence[pair]", w5_c, 2 / 5, "2|a_p a_q| for uniform weights"),
+            ("assistance[pair]", w5_ca, 2 / 5,
              "equal to the concurrence on weight-1 states"),
         ]),
     ]

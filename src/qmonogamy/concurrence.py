@@ -95,10 +95,12 @@ def pair_index(n: int) -> tuple:
     return pairs, i, j
 
 
-# A gather holds as many marginals as fit in this many amplitudes (256 KiB), at least one, so it stays in cache: on
-# 2 CPUs with one BLAS thread, all 66 pairs in one gather made a fill at n = 12 take 5.2-5.7 ms for a stack of one
-# and 280-318 ms for a stack of 64, against 2.5-3.0 and 159-164 ms in groups.
-_GATHER_ELEMENTS = 2**14
+# A gather holds as many marginals as fit in this many amplitudes (128 KiB), at least one.  The bound is set by the
+# allocator, not the cache: with glibc, gathered blocks of 256 KiB and their conj copies were served from fresh pages
+# on each fill after other work, and a shuffled round of the benchmark's `check` corpus took a median 2100-3100 minor
+# faults against 2-440 at 128 KiB (2 CPUs, one BLAS thread).  2^12 makes more gathers and ran slower, and one gather
+# of all 66 pairs made a fill at n = 12 about 2x slower.  No output bit depends on it.
+_GATHER_ELEMENTS = 2**13
 
 
 @cache
@@ -123,8 +125,11 @@ class MarginalTable:
     Each marginal is traced on first use, once for the stack; each size's traced stack is admitted once, by the trace
     rule and its Hermitian part.  The PSD floor is checked wherever eigenvalues are computed, for single qubits from
     the closed-form least eigenvalue of each 2x2 marginal.  Same-size marginals are traced together, as many
-    a gather as fit in ``_GATHER_ELEMENTS`` amplitudes but at least one (so a stack of 64 at n = 12 gathers one 4 MB
-    marginal at a time): one ``np.take`` gathers their amplitude blocks M and one batched matmul forms rho = M M^H.
+    a gather as fit in ``_GATHER_ELEMENTS`` amplitudes (128 KiB) but at least one: one ``np.take`` gathers their
+    amplitude blocks M and one batched matmul forms rho = M M^H.  The bound is the allocator's, not the cache's: with
+    glibc, a fill whose blocks and conj copies stay within it reuses freed pages, where 256 KiB blocks faulted in
+    fresh ones.  A stack of one gathers 16 / 8 / 4 / 2 marginals at a time at n = 9 / 10 / 11 / 12, and a ``fuzz``
+    chunk of 8 states at n = 12 one 0.5 MB marginal.
     Each group's index is cached per qubit count (``_block_index``): at n = 12 the bounds' three groups (pairs,
     singles, ABC1|rest cut) hold 0.65 MB and any other cut adds 8 KB.  ``pair_sq`` fills every pair with one ``svd``
     over the stack.  Up to 4 qubits it factors rho = M M^H by each pair's block M (zero padded to 4 columns at n = 3)

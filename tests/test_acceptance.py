@@ -134,12 +134,14 @@ def test_convex_roof_oracle_agreement():
         unconverged += (not dec_min.converged) + (not dec_max.converged)
     elapsed = time.time() - t0
     p90_sweeps = float(np.percentile(min_sweeps, 90))
-    ok = worst_min <= 1e-3 and worst_max <= 1e-3 and p90_sweeps < MAX_SWEEPS and elapsed < 300
+    # the oracle's stop reaches ~1e-5 on this panel (1.07e-5); a stop 1000x looser leaves ~5e-4
+    ok = worst_min <= 5e-5 and worst_max <= 1e-3 and p90_sweeps < MAX_SWEEPS and elapsed < 300
     report(4, ok, f"optimizer vs closed forms on 200 states "
                   f"(worst min {worst_min:.2e}, worst max {worst_max:.2e}; rank 2-4 minimize "
                   f"sweeps p90 {p90_sweeps:g} of {MAX_SWEEPS}; {unconverged}/400 calls unconverged)",
            elapsed)
     assert worst_min <= 1e-3
+    assert worst_min <= 5e-5
     assert worst_max <= 1e-3
     assert p90_sweeps < MAX_SWEEPS
     assert elapsed < 300

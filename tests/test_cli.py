@@ -12,6 +12,7 @@ import pytest
 
 import qmonogamy.cases
 import qmonogamy.cli
+import qmonogamy.concurrence
 import qmonogamy.monogamy
 
 from qmonogamy import (PureState, StateError, evaluate_all, random_haar_state, read_state_file, state_from_basis_terms,
@@ -189,8 +190,8 @@ class OneFillPerChunk:
 
 class TestFuzz(OneFillPerChunk):
     # pairs, singles and ABC1 each in one gather, but at n = 10 a gather of 7 states holds
-    # 2 marginals (2^14 // (7 * 2^10)) and a gather of one state 16: 23 + 5 + 1 and 3 + 1 + 1
-    GATHERS = {3: [2, 2, 2], 6: [3, 3, 3], 10: [29, 29, 5]}
+    # 1 marginal (2^13 // (7 * 2^10)) and a gather of one state 8: 45 + 10 + 1 and 6 + 2 + 1
+    GATHERS = {3: [2, 2, 2], 6: [3, 3, 3], 10: [56, 56, 9]}
 
     @staticmethod
     def argv(n):
@@ -284,6 +285,19 @@ class TestFuzz(OneFillPerChunk):
             assert doc["min_slack"] == {
                 name: {"lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
                 for name, e in worst.items()}
+
+    # chunks of 64 and 6 states at n = 6, of 32 and 8 at n = 10
+    @pytest.mark.parametrize("n, count", [(6, 70), (10, 40)])
+    def test_output_does_not_depend_on_the_gather_size(self, n, count, tmp_path, monkeypatch, capsys):
+        outputs = set()
+        for elements in (2**6, 2**13, 2**16):
+            monkeypatch.setattr(qmonogamy.concurrence, "_GATHER_ELEMENTS", elements)
+            argv = ["fuzz", "--qubits", str(n), "--count", str(count), "--seed", "5"]
+            assert main(argv + ["--out", str(tmp_path / "fuzz.json")]) == 0
+            assert main(argv + ["--format", "csv", "--out", str(tmp_path / "fuzz.csv")]) == 0
+            outputs.add(((tmp_path / "fuzz.json").read_bytes(), (tmp_path / "fuzz.csv").read_bytes(),
+                         capsys.readouterr().out))
+        assert len(outputs) == 1
 
     def test_violations_dump_the_first_eight_states(self, tmp_path, monkeypatch, capsys):
         # a broken upper bound on nine states, six of them past the first chunk of 4
@@ -501,6 +515,21 @@ class TestReproducePaper:
         assert main(["reproduce-paper"]) == 0
         assert table_work.fills == [1] * 13
 
+    def test_each_pair_takes_one_spectrum(self, monkeypatch, capsys):
+        # 8 pair marginals, each read for both closed forms from one lambda spectrum; every module that holds the
+        # function is patched, as the benchmark's tracer rebinds it
+        spectrum, marginals = qmonogamy.concurrence.lambda_spectrum, []
+
+        def counted(dm):
+            marginals.append(dm)
+            return spectrum(dm)
+
+        for module in (qmonogamy, qmonogamy.concurrence, qmonogamy.cases):
+            if vars(module).get("lambda_spectrum") is spectrum:
+                monkeypatch.setattr(module, "lambda_spectrum", counted)
+        assert main(["reproduce-paper"]) == 0
+        assert len(marginals) == len(set(map(id, marginals))) == 8
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "cases.json"
         assert main(["reproduce-paper", "--out", str(out)]) == 0
@@ -515,8 +544,8 @@ class TestReproducePaper:
 
 
 class TestWclassScan(OneFillPerChunk):
-    # the pairs, and the singles at n = 3: 45 pairs at n = 10 in 23 gathers of 7 states or 3 of one
-    GATHERS = {3: [2, 2, 2], 6: [1, 1, 1], 10: [23, 23, 3]}
+    # the pairs, and the singles at n = 3: 45 pairs at n = 10 in 45 gathers of 7 states or 6 of one
+    GATHERS = {3: [2, 2, 2], 6: [1, 1, 1], 10: [45, 45, 6]}
 
     @staticmethod
     def argv(n):

@@ -518,6 +518,21 @@ class TestMarginalTable:
         index = _block_index(16, ((0, 1),))
         assert index.min() == 0 and index.max() == 2**16 - 1
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_reports_do_not_depend_on_the_gather_size(self, n, monkeypatch, table_work):
+        # 2^6 amplitudes take one marginal a gather from n = 6 and 2^16 each size in one up to n = 10; no bit may follow
+        states = [random_haar_state(n, n), random_wclass_state(n, n),
+                  state_from_basis_terms(n, [("0" * n, 1), ("1" * n, 1)])]
+        reports, gathers = set(), []
+        for elements in (2**6, 2**13, 2**16):
+            monkeypatch.setattr(qmonogamy.concurrence, "_GATHER_ELEMENTS", elements)
+            # repr gives each float's bits: -0.0 and 0.0 differ
+            reports.add(repr([dataclasses.asdict(evaluate_all(state)) for state in states]))
+            gathers.append(sum(table_work.gathers[-len(states):]))
+        assert len(reports) == 1
+        if n >= 9:  # the three sizes group the marginals in three ways
+            assert len(set(gathers)) == 3
+
     @pytest.mark.parametrize("size", [3, 17])
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_stack_rows_equal_stacks_of_one(self, n, size):
