@@ -13,7 +13,6 @@ from .monogamy import (
     BoundEntry,
     BoundReport,
     TriangleVectors,
-    concurrence_chain,
     evaluate_all,
     triangle_vectors,
     wclass_bounds,
@@ -41,7 +40,6 @@ __all__ = [
     "StateError",
     "StateFileError",
     "TriangleVectors",
-    "concurrence_chain",
     "concurrence_of_assistance",
     "convex_roof_optimize",
     "evaluate_all",

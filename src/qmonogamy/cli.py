@@ -214,11 +214,18 @@ def cmd_wclass_scan(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError``, which ``main`` reports as ``error [config]``."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process.  It names each handler, and ``main`` looks the name up
     when it dispatches, so a later rebinding of ``cmd_*`` in this module takes effect."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmonogamy",
         description="Concurrence monogamy bounds for N-qubit pure states",
     )
@@ -258,10 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 is reserved for bound violations
-        return 0 if exc.code in (0, None) else 1
-    try:
         if getattr(args, "count", 1) < 1:
             raise ValueError("count must be at least 1")
         if getattr(args, "seed", 0) < 0:
@@ -270,6 +273,8 @@ def main(argv=None) -> int:
             _qubit_count(args.qubits, "--qubits/--n", _MIN_QUBITS)
         _tolerance(getattr(args, "tolerance", DEFAULT_TOLERANCE))
         return globals()[args.run](args)
+    except SystemExit:  # only --help leaves the parser this way, once its text is printed
+        return 0
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 1

@@ -63,12 +63,6 @@ def _grow(lower, upper, csq: np.ndarray, casq: np.ndarray, q: int) -> tuple:
     return lower - assistance, _sum(csq[:, q]) - upper, upper + assistance
 
 
-def concurrence_chain(state: PureState):
-    """Triangle chain (|a-b|, c, a+b) with a = C^2(A|rest), b = C^2(B|rest), c = C^2(AB|rest)."""
-    a, b, c = _table(state.amplitudes[None]).cut_sq([0], [1], [0, 1])[0].tolist()
-    return abs(a - b), c, a + b
-
-
 @dataclass(frozen=True)
 class TriangleVectors:
     """Planar vectors with |a_vec| = a, |b_vec| = b, |c_vec| = c and a_vec + b_vec = c_vec."""
@@ -79,10 +73,10 @@ class TriangleVectors:
 
 
 def triangle_vectors(state: PureState) -> TriangleVectors:
-    """Realize the chain values as side lengths of a closed planar triangle.
+    """Realize a = C^2(A|rest), b = C^2(B|rest) and c = C^2(AB|rest) as side lengths of a closed planar triangle.
 
-    ``c_vec`` is laid along the first axis.  When c vanishes the chain forces
-    a = b, and the construction degenerates to an antiparallel pair.
+    ``c_vec`` is laid along the first axis.  When c vanishes the chain |a - b| <= c <= a + b (the report's
+    ``chain_*`` entries) forces a = b, and the construction degenerates to an antiparallel pair.
     """
     a, b, c = _table(state.amplitudes[None]).cut_sq([0], [1], [0, 1])[0].tolist()
     if c <= TRIANGLE_DEGENERATE_EPS:

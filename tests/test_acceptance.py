@@ -156,9 +156,9 @@ def test_assistance_identity_on_random_states():
         gap = concurrence_of_assistance(rho) ** 2 - wootters_concurrence(rho) ** 2
         worst = max(worst, abs(gap - three_tangle(state, 2)))
     elapsed = time.time() - t0
-    ok = worst <= 1e-8 and elapsed < 30
+    ok = worst <= 1e-12 and elapsed < 30
     report(5, ok, f"assistance-squared identity on 500 random 3-qubit states (worst {worst:.2e})", elapsed)
-    assert worst <= 1e-8
+    assert worst <= 1e-12
     assert elapsed < 30
 
 

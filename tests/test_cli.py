@@ -299,6 +299,21 @@ class TestFuzz(OneFillPerChunk):
                          capsys.readouterr().out))
         assert len(outputs) == 1
 
+    # chunks of 2 / 32 / 64 states at n = 10 and of 1 / 8 / 64 at n = 12
+    @pytest.mark.parametrize("n, count", [(10, 40), (12, 10)])
+    def test_output_does_not_depend_on_the_chunk_amplitudes(self, n, count, tmp_path, monkeypatch, capsys):
+        outputs = set()
+        for amplitudes in (2**11, 2**15, 2**21):
+            monkeypatch.setattr(qmonogamy.cli, "_CHUNK_AMPLITUDES", amplitudes)
+            fuzz, scan = (argv + [str(n), "--count", str(count), "--seed", "5"]
+                          for argv in (["fuzz", "--qubits"], ["wclass-scan", "--n"]))
+            assert main(fuzz + ["--out", str(tmp_path / "fuzz.json")]) == 0
+            assert main(fuzz + ["--format", "csv", "--out", str(tmp_path / "fuzz.csv")]) == 0
+            assert main(scan + ["--out", str(tmp_path / "scan.csv")]) == 0
+            files = tuple((tmp_path / name).read_bytes() for name in ("fuzz.json", "fuzz.csv", "scan.csv"))
+            outputs.add(files + (capsys.readouterr().out,))
+        assert len(outputs) == 1
+
     def test_violations_dump_the_first_eight_states(self, tmp_path, monkeypatch, capsys):
         # a broken upper bound on nine states, six of them past the first chunk of 4
         seed, count, failing = 5, 16, [1, 2, 5, 6, 9, 10, 11, 13, 14]
@@ -686,6 +701,20 @@ class TestExitCodeContract:
         assert main(["no-such-command"]) == 1
         assert main(["fuzz", "--qubits", "4"]) == 1  # missing required flags
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fuzz", "--qubits", "x", "--count", "1", "--seed", "0"], id="bad-int"),
+        pytest.param(["check"], id="missing-argument"),
+        pytest.param(["check", "s.json", "--format", "xml"], id="bad-choice"),
+        pytest.param(["no-such-command"], id="unknown-command"),
+        pytest.param([], id="no-arguments"),
+        pytest.param(["fuzz", "--qubits", "4", "--count", "1", "--seed", "0", "--no-such-flag"], id="unknown-flag"),
+    ])
+    def test_usage_error_prints_one_config_line(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [config]: ") and captured.err.count("\n") == 1, captured.err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from qmonogamy import (
     MAX_QUBITS,
     PureState,
-    concurrence_chain,
     concurrence_of_assistance,
     evaluate_all,
     lambda_spectrum,
@@ -82,18 +81,25 @@ class TestAbRestBounds:
         assert report.entry("ab_rest_upper").rhs >= mid - 1e-7
 
 
+def chain(state):
+    """The chain (|a - b|, c, a + b) with a = C^2(A|rest), b = C^2(B|rest), c = C^2(AB|rest), from the report."""
+    report = evaluate_all(state)
+    lower, upper = report.entry("chain_lower"), report.entry("chain_upper")
+    return lower.lhs, lower.rhs, upper.rhs
+
+
 class TestConcurrenceChain:
     def test_triangle_state(self):
-        lower, mid, upper = concurrence_chain(TRIANGLE4)
+        lower, mid, upper = chain(TRIANGLE4)
         assert lower == pytest.approx(0.0, abs=1e-12)
         assert mid == pytest.approx(4 / 9, abs=1e-12)
         assert upper == pytest.approx(16 / 9, abs=1e-12)
 
     def test_product_state(self):
-        assert concurrence_chain(ZEROS6) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+        assert chain(ZEROS6) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
     def test_bell_pair_inside_ab(self):
-        lower, mid, upper = concurrence_chain(BELL_AB_X00)
+        lower, mid, upper = chain(BELL_AB_X00)
         assert lower == pytest.approx(0.0, abs=1e-12)
         assert mid == pytest.approx(0.0, abs=1e-12)
         assert upper == pytest.approx(2.0, abs=1e-12)
@@ -101,7 +107,7 @@ class TestConcurrenceChain:
     @given(seed=st.integers(0, 10**9), n=st.integers(3, 6))
     @settings(max_examples=40, deadline=None)
     def test_ordered(self, seed, n):
-        lower, mid, upper = concurrence_chain(random_haar_state(n, seed))
+        lower, mid, upper = chain(random_haar_state(n, seed))
         assert lower <= mid + 1e-7
         assert mid <= upper + 1e-7
 
@@ -562,7 +568,9 @@ class TestMarginalTable:
         report = evaluate_all(state)
         mid_ab = pure_concurrence_sq(state, [0, 1])
         assert report.entry("ab_rest_lower").rhs == mid_ab
-        assert (report.entry("chain_lower").lhs, mid_ab, report.entry("chain_upper").rhs) == concurrence_chain(state)
+        a, b = pure_concurrence_sq(state, [0]), pure_concurrence_sq(state, [1])
+        lower, upper = report.entry("chain_lower"), report.entry("chain_upper")
+        assert (lower.lhs, lower.rhs, upper.rhs) == (abs(a - b), mid_ab, a + b)
         for i in range(n):
             for j in range(i + 1, n):
                 pair = report.components[f"{role_name(i)}-{role_name(j)}"]

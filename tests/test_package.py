@@ -4,7 +4,7 @@ import qmonogamy
 
 # Bound wrappers and a second cut rule that restated what evaluate_all's entries and pure_concurrence_sq give
 REMOVED = ["ab_rest_lower", "ab_rest_upper", "abc_rest_lower_diff", "abc_rest_lower_hub", "abc_rest_upper",
-           "concurrence_pure", "Partition", "is_weight1_supported"]
+           "concurrence_pure", "Partition", "is_weight1_supported", "concurrence_chain"]
 MODULES = ["qmonogamy", "qmonogamy.concurrence", "qmonogamy.monogamy", "qmonogamy.states", "qmonogamy.cases",
            "qmonogamy.cli"]
 
